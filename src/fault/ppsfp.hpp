@@ -10,12 +10,16 @@
 // taken when the campaign program provably has no X anywhere — decided by
 // ppsfp_plan's screen (no x_initial_flops, and a cheap broadcast
 // two-state run reproducing the four-state reference masks bit for bit).
-// Faults on macro (RAM/ROM) bus nets always fall back to the event-driven
-// faulty-machine overlay, as does the whole list when the screen fails,
-// so the four-valued taxonomy (kOscillating, kUndetectedBudget, ...) is
-// preserved exactly; classifications on the bit-parallel path are
-// bit-identical with GateSim's by construction (see tests/test_ppsfp.cpp
-// for the differential proof).
+// When the screen fails the whole list falls back to the event-driven
+// faulty-machine overlay, so the four-valued taxonomy (kOscillating,
+// kUndetectedBudget, ...) is preserved exactly.  Faults on macro (RAM/ROM)
+// bus nets stay bit-parallel: the overlay clamps their slots at every
+// write site, read ports and RAM writes run per lane, and a stuck 0/1
+// cannot create an X on a two-state program (reads ignore the enable, ROM
+// reads past the table return 0, RAM addresses cannot leave the array).
+// Classifications on the bit-parallel path are bit-identical with
+// GateSim's by construction (see tests/test_ppsfp.cpp for the
+// differential proof).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +35,7 @@
 namespace scflow::fault {
 
 /// How the PPSFP engine handles each fault of a campaign, decided up
-/// front: the program-level eligibility screen plus the per-fault
-/// macro-coupling partition.
+/// front by the program-level eligibility screen.
 struct PpsfpPlan {
   /// Two-state bit-parallel execution is exact for this program.
   bool eligible = false;
@@ -40,7 +43,9 @@ struct PpsfpPlan {
   /// divergence", "combinational cycle").
   std::string reason;
   std::vector<std::size_t> parallel;  ///< fault indices, bit-parallel path
-  std::vector<std::size_t> fallback;  ///< fault indices, event-driven path
+  /// Fault indices on the event-driven path: the whole list when
+  /// !eligible, else only faults on nets outside the program.
+  std::vector<std::size_t> fallback;
 };
 
 /// Screens (netlist, stimulus, reference) for two-state exactness and

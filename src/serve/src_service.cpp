@@ -81,11 +81,9 @@ AdmitResult SrcService::try_open(const SessionConfig& config) {
   if (free_slots_.empty() && slots_.size() >= options_.max_sessions) {
     reclaim();            // folds kClosing slots (no lane holds them here)
     if (free_slots_.empty()) sweep_evicted();
-    if (free_slots_.empty() && options_.shed_high_watermark > 0 &&
-        slots_.size() - free_slots_.size() >= options_.shed_high_watermark) {
-      shed_one();
-    }
-    if (free_slots_.empty()) {
+    const bool may_shed = options_.shed_high_watermark > 0 &&
+                          slots_.size() - free_slots_.size() >= options_.shed_high_watermark;
+    if (free_slots_.empty() && !(may_shed && shed_one())) {
       ++res_.admit_overloaded;
       return {{}, AdmitStatus::kOverloaded};
     }

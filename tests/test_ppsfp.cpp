@@ -7,9 +7,10 @@
 //    scan programs x thread counts {1,2,4,8} (netlist_fuzz.hpp) — every
 //    per-fault classification, detecting pattern index, observe port and
 //    cycle count must be bit-identical;
-//  * the fallback regimes: x_initial_flops programs fall back whole, RAM
-//    macro bus faults fall back per fault (and neither path crashes or
-//    diverges), with the ppsfp_* accounting visible in the registry;
+//  * the fallback regime: x_initial_flops programs fall back whole, while
+//    RAM macro bus faults stay bit-parallel (on a hand-built RAM design
+//    and on random RAM designs), with the ppsfp_* accounting visible in
+//    the registry;
 //  * run-ledger invariance: the strip-timing ledger projection of a
 //    campaign must not depend on the engine, so cross-engine scflow_report
 //    diffs stay clean for every non-timing metric.
@@ -56,9 +57,9 @@ nl::Netlist scan_accumulator() {
 }
 
 // Accumulator plus a RAM macro whose write bus hangs off primary inputs:
-// faults on the bus nets must take the event-driven fallback, everything
-// else stays on the bit-parallel path (exercising the per-lane macro
-// read-port change detection against GateSim's).
+// every fault, bus nets included, runs on the bit-parallel path
+// (exercising the per-lane macro read-port change detection and RAM
+// writes against GateSim's).
 nl::Netlist ram_design() {
   rtl::DesignBuilder b("ppsfp_ram");
   auto addr = b.input("addr", 4);
@@ -72,6 +73,60 @@ nl::Netlist ram_design() {
   b.output("rdata", rd);
   b.output("acc", acc.q);
   return nl::lower_to_gates(b.finalise(), {});
+}
+
+// Random design around one RAM: address and data widths drawn per seed,
+// and the write address, data and enable and the read address and enable
+// all computed by random logic over the inputs and registers, so faults
+// on every macro bus net see live, seed-dependent traffic.  The read data
+// feeds the registers and the outputs.  With @p rom a ROM whose table is
+// shorter than its address space joins the pool, so reads past the table
+// occur too.
+nl::Netlist random_ram_design(std::mt19937_64& rng, bool rom) {
+  const auto rnd = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  rtl::DesignBuilder b("ppsfp_ramfuzz");
+  std::vector<rtl::Sig> pool;
+  const int n_inputs = rnd(2, 3);
+  for (int i = 0; i < n_inputs; ++i)
+    pool.push_back(b.input("in" + std::to_string(i), rnd(1, 8)));
+  std::vector<rtl::Reg> regs;
+  const int n_regs = rnd(1, 2);
+  for (int r = 0; r < n_regs; ++r) {
+    regs.push_back(b.reg("r" + std::to_string(r), rnd(2, 8),
+                         static_cast<std::int64_t>(rng() & 0xff)));
+    pool.push_back(regs.back().q);
+  }
+  const auto pick = [&](int w) {
+    return b.resize_u(pool[static_cast<std::size_t>(rnd(0, static_cast<int>(pool.size()) - 1))], w);
+  };
+  const auto logic = [&](int w) {
+    switch (rnd(0, 3)) {
+      case 0: return b.add(pick(w), pick(w));
+      case 1: return b.xor_(pick(w), pick(w));
+      case 2: return b.and_(pick(w), b.not_(pick(w)));
+      default: return b.mux(pick(1), pick(w), pick(w));
+    }
+  };
+
+  const int addr_bits = rnd(1, 4);
+  const int data_bits = rnd(1, 8);
+  const int mem = b.memory("ram", addr_bits, data_bits);
+  b.ram_write(mem, logic(addr_bits), logic(data_bits), logic(1));
+  const rtl::Sig rd = b.ram_read(mem, logic(addr_bits), logic(1));
+  pool.push_back(rd);
+  if (rom) {
+    const int rom_addr_bits = rnd(2, 4);
+    std::vector<std::int64_t> table(static_cast<std::size_t>(rnd(1, (1 << rom_addr_bits) - 1)));
+    for (std::int64_t& v : table) v = static_cast<std::int64_t>(rng() & 0xff);
+    const int ri = b.rom("rom", rom_addr_bits, 8, std::move(table));
+    pool.push_back(b.rom_read(ri, logic(rom_addr_bits)));
+  }
+  for (const rtl::Reg& r : regs) b.assign(r, logic(1), logic(r.q.width));
+  b.output("rd", rd);
+  b.output("o", logic(rnd(1, 8)));
+  return nl::optimize_gates(nl::lower_to_gates(b.finalise(), {}));
 }
 
 // --- the overlay itself, lane by lane against inject_stuck --------------
@@ -164,9 +219,27 @@ TEST(PpsfpFuzz, XInitialFlopsFallsBackWholeAndMatches) {
   }
 }
 
-// --- fallback regimes on a real RAM macro -------------------------------
+TEST(PpsfpFuzz, MatchesEventDrivenOnRandomRamDesigns) {
+  const std::vector<unsigned> threads = {1, 4};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    std::mt19937_64 rng(seed * 0x9fb21c651e98df25ull);
+    nl::Netlist n = random_ram_design(rng, (seed & 2) != 0);
+    if ((seed & 1) == 0) nl::insert_scan_chain(n);
+    const CampaignOptions opt = random_campaign_options(rng);
+    const std::string diff = diff_campaign_engines(n, opt, threads);
+    EXPECT_EQ(diff, "") << "seed " << seed;
+    if (!diff.empty()) break;
 
-TEST(Ppsfp, RamMacroBusFaultsFallBackAndMatch) {
+    // The macro bus faults really ran bit-parallel.
+    CampaignOptions ppsfp = opt;
+    ppsfp.engine = Engine::kPpsfp;
+    EXPECT_EQ(run_campaign(n, ppsfp).ppsfp_fallback, 0u) << "seed " << seed;
+  }
+}
+
+// --- RAM macro bus faults on the bit-parallel path ----------------------
+
+TEST(Ppsfp, RamMacroBusFaultsRunBitParallelAndMatch) {
   const nl::Netlist n = ram_design();
   CampaignOptions opt;
   opt.functional_cycles = 32;
@@ -176,12 +249,11 @@ TEST(Ppsfp, RamMacroBusFaultsFallBackAndMatch) {
   obs::Session session;
   opt.metric_prefix = "fault.ppsfp_ram";
   const CampaignResult r = run_campaign(n, opt, &session);
-  // The write/read bus faults must take the event-driven path...
-  EXPECT_GT(r.ppsfp_fallback, 0u);
-  // ...but not the whole design: the accumulator cone stays bit-parallel
-  // (covering the per-lane macro read-port scatter against GateSim).
-  EXPECT_LT(r.ppsfp_fallback, r.faults.size());
+  // The write/read bus faults ride the 64-lane batches with the rest of
+  // the design: nothing falls back, every detection is a drop.
+  EXPECT_EQ(r.ppsfp_fallback, 0u);
   EXPECT_GT(r.detected, 0u);
+  EXPECT_EQ(r.ppsfp_dropped, r.detected);
   EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_fallback_faults"),
             r.ppsfp_fallback);
   EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_dropped"),
