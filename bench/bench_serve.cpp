@@ -56,7 +56,7 @@ RunResult run_workload(std::size_t n_sessions, std::size_t n_samples,
   std::vector<std::vector<StereoSample>> stimuli(n_sessions);
   for (std::size_t i = 0; i < n_sessions; ++i) {
     const auto& ratio = kRatioTable[i % kRatioCount];
-    ids[i] = service.open({ratio[0], ratio[1]});
+    ids[i] = service.try_open({ratio[0], ratio[1]}).id;
     stimuli[i] = scflow::dsp::make_noise_stimulus(n_samples, seed + i);
   }
 

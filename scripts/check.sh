@@ -52,27 +52,32 @@ echo "== serve: streaming SRC soak, 1000 sessions x thread sweep {1,2,4,8} =="
 # (the four paper pairs included) at every lane count, asserting the
 # zero-loss conservation laws, the round-robin starvation bound, and that
 # every session's output stream hashes bit-identically across thread
-# counts.  The service's unit suite (lifecycle, backpressure, fairness,
-# determinism) runs via ctest above and again under the sanitizers below.
-build/tools/src_serve --check >/dev/null
+# counts.  The soak is a test case of test_serve; this pass reruns it by
+# name, and the whole suite runs in tier-1 above and again under the
+# sanitizers below.
+ctest --test-dir build --no-tests=error --output-on-failure \
+  -R '^ServeDeterminism\.ThousandSessionSoakIsLosslessFairAndThreadInvariant$'
 RAN_PASSES+=("serve")
 
 echo "== chaos: seeded fault-injection soak (32 seeds) + snapshot round-trip =="
-# The resilience gate: every seed's ChaosPlan injects lane stalls,
-# disconnects, oversized pushes, ring storms and allocation failures as
-# pure functions of the seed, across the same thread sweep — surviving
-# sessions must hash bit-identically and the fault census itself must be
+# The resilience gate, as test_resilience cases rerun by name: every
+# seed's ChaosPlan injects lane stalls, disconnects, oversized pushes,
+# ring storms and allocation failures as pure functions of the seed,
+# across the same thread sweep — surviving sessions must conserve their
+# samples and hash bit-identically, and the fault census itself must be
 # scheduling-invariant.  Over the 32-seed soak every fault class must
 # fire at least once.  Then the crash-consistency gate: a mid-stream
 # snapshot restored at a different lane count must continue
 # byte-identically, and corrupted images must be rejected with a
-# diagnostic.  The chaos ledger lands in build/chaos/ (CI uploads it) —
-# NOT build/obs/, which the obs pass wipes.
+# diagnostic.  Finally the src_serve driver writes a service ledger and
+# metric report into build/chaos/ (CI uploads it) — NOT build/obs/,
+# which the obs pass wipes — and scflow_report validates the ledger.
+ctest --test-dir build --no-tests=error --output-on-failure \
+  -R '^(ChaosDeterminism\..*|Snapshot\.(RoundTripContinuesBitIdentically|CorruptImagesAreRejectedWithDiagnostics))$'
 CHAOS_DIR="$(pwd)/build/chaos"
 rm -rf "$CHAOS_DIR" && mkdir -p "$CHAOS_DIR"
-build/tools/src_serve --chaos-soak 32 --seed 1 \
-  --ledger "$CHAOS_DIR/chaos_ledger.jsonl" --report "$CHAOS_DIR/chaos_report.json"
-build/tools/src_serve --snapshot-roundtrip >/dev/null
+build/tools/src_serve --sessions 48 --samples 400 --seed 1 \
+  --ledger "$CHAOS_DIR/chaos_ledger.jsonl" --report "$CHAOS_DIR/chaos_report.json" >/dev/null
 build/tools/scflow_report validate "$CHAOS_DIR/chaos_ledger.jsonl" >/dev/null
 RAN_PASSES+=("chaos")
 

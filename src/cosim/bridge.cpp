@@ -5,7 +5,6 @@
 #include "core/testbench.hpp"
 #include "dsp/time_quantizer.hpp"
 #include "dtypes/bit_int.hpp"
-#include "obs/registry.hpp"
 
 namespace scflow::cosim {
 
@@ -112,20 +111,6 @@ CosimResult run_cosim(hdlsim::Dut& dut, dsp::SrcMode mode,
   r.dut_counters = dut.counters();
   r.dut_workers = dut.worker_stats();
   return r;
-}
-
-void CosimResult::record_into(scflow::obs::Registry& reg, std::string_view prefix) const {
-  const std::string p(prefix);
-  minisc::record_stats(reg, p + ".kernel", kernel_stats);
-  dut_counters.record_into(reg, p + ".dut");
-  // Shards only when the engine actually ran multi-lane: a single-lane
-  // report would just duplicate the totals above.
-  if (dut_workers.size() > 1) {
-    for (std::size_t w = 0; w < dut_workers.size(); ++w)
-      dut_workers[w].record_into(reg, p + ".dut.worker" + std::to_string(w));
-  }
-  reg.set_counter(p + ".bridge.syncs", syncs);
-  reg.set_counter(p + ".bridge.dut_cycles", cycles);
 }
 
 }  // namespace scflow::cosim

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "core/pins.hpp"
@@ -63,12 +62,6 @@ struct CosimResult {
   /// DUT evaluations, derived from the one SimCounters copy so it cannot
   /// drift from dut_counters.evaluations.
   [[nodiscard]] std::uint64_t dut_work_units() const { return dut_counters.evaluations; }
-
-  /// Records the whole result — kernel stats under "<prefix>.kernel.*",
-  /// DUT counters under "<prefix>.dut.*" (plus "<prefix>.dut.worker<k>.*"
-  /// shards when the DUT ran multi-lane), bridge sync counts under
-  /// "<prefix>.bridge.*" — into the unified registry.
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };
 
 /// Runs a schedule against @p dut with the compiled minisc testbench

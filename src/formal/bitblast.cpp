@@ -1,6 +1,5 @@
 #include "formal/bitblast.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -120,250 +119,6 @@ BlastedOutputs bitblast_netlist(const nl::Netlist& n, Aig& aig, VarMap& vars) {
     }
   }
   return out;
-}
-
-namespace {
-
-// Mirrors nl::lower_to_gates' Lowerer gate-for-gate (same adder, array
-// multiplier, comparison and mux structures, same port naming), so an RTL
-// design and its freshly lowered netlist bitblast to *identical* AIG
-// literals via structural hashing — the miter collapses without SAT.
-struct RtlBlaster {
-  using BitVec = std::vector<AigLit>;
-
-  const rtl::Design& d;
-  Aig& g;
-  VarMap& vars;
-  std::vector<BitVec> bits;
-  std::vector<BitVec> flop_q;
-  std::vector<int> ram_read_count;
-  std::vector<int> rom_read_count;
-  BlastedOutputs out;
-
-  RtlBlaster(const rtl::Design& design, Aig& aig, VarMap& vm)
-      : d(design), g(aig), vars(vm), bits(design.nodes().size()) {}
-
-  AigLit inv(AigLit a) { return aig_not(a); }
-  AigLit and2(AigLit a, AigLit b) { return g.and2(a, b); }
-  AigLit or2(AigLit a, AigLit b) { return g.or2(a, b); }
-  AigLit xor2(AigLit a, AigLit b) { return g.xor2(a, b); }
-  AigLit xnor2(AigLit a, AigLit b) { return g.xnor2(a, b); }
-  AigLit mux2(AigLit sel, AigLit a0, AigLit a1) { return g.ite(sel, a1, a0); }
-
-  std::pair<AigLit, AigLit> full_adder(AigLit a, AigLit b, AigLit c) {
-    const AigLit axb = xor2(a, b);
-    const AigLit sum = xor2(axb, c);
-    const AigLit carry = or2(and2(a, b), and2(c, axb));
-    return {sum, carry};
-  }
-
-  BitVec ripple_add(const BitVec& a, const BitVec& b, AigLit cin,
-                    AigLit* cout = nullptr) {
-    BitVec sum(a.size());
-    AigLit carry = cin;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      auto [s, c] = full_adder(a[i], b[i], carry);
-      sum[i] = s;
-      carry = c;
-    }
-    if (cout != nullptr) *cout = carry;
-    return sum;
-  }
-
-  BitVec invert(const BitVec& a) {
-    BitVec r(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) r[i] = inv(a[i]);
-    return r;
-  }
-
-  BitVec ripple_sub(const BitVec& a, const BitVec& b, AigLit* cout = nullptr) {
-    return ripple_add(a, invert(b), kAigTrue, cout);
-  }
-
-  AigLit and_reduce(const BitVec& v) {
-    AigLit acc = v[0];
-    for (std::size_t i = 1; i < v.size(); ++i) acc = and2(acc, v[i]);
-    return acc;
-  }
-
-  BitVec widen(const BitVec& a, std::size_t w, bool sign) {
-    BitVec r = a;
-    const AigLit fill = sign ? a.back() : kAigFalse;
-    while (r.size() < w) r.push_back(fill);
-    r.resize(w);
-    return r;
-  }
-
-  BitVec multiply_signed(const BitVec& a, const BitVec& b, std::size_t out_w) {
-    const std::size_t aw = a.size(), bw = b.size();
-    const std::size_t pw = std::min(aw + bw, out_w);
-    BitVec acc(pw, kAigFalse);
-    for (std::size_t i = 0; i < bw && i < pw; ++i) {
-      BitVec row(pw, kAigFalse);
-      for (std::size_t j = 0; j < aw && i + j < pw; ++j) row[i + j] = and2(a[j], b[i]);
-      acc = ripple_add(acc, row, kAigFalse);
-    }
-    auto correct = [this, pw](BitVec acc_in, const BitVec& v, std::size_t shift,
-                              AigLit sgn) {
-      BitVec masked(pw, kAigFalse);
-      for (std::size_t j = 0; j < v.size() && shift + j < pw; ++j)
-        masked[shift + j] = and2(v[j], sgn);
-      return ripple_sub(acc_in, masked);
-    };
-    acc = correct(acc, b, aw, a.back());
-    acc = correct(acc, a, bw, b.back());
-    return widen(acc, out_w, true);
-  }
-
-  AigLit less_unsigned(const BitVec& a, const BitVec& b) {
-    AigLit cout = kAigFalse;
-    (void)ripple_sub(a, b, &cout);
-    return inv(cout);
-  }
-
-  BitVec blast_node(rtl::NodeId id) {
-    const rtl::Node& n = d.node(id);
-    const auto w = static_cast<std::size_t>(n.width);
-    auto arg = [this, &n](int i) -> const BitVec& {
-      return bits[static_cast<std::size_t>(n.args[static_cast<std::size_t>(i)])];
-    };
-    switch (n.op) {
-      case rtl::Op::kConst: {
-        BitVec r(w);
-        for (std::size_t i = 0; i < w; ++i)
-          r[i] = ((static_cast<std::uint64_t>(n.imm) >> i) & 1u) ? kAigTrue : kAigFalse;
-        return r;
-      }
-      case rtl::Op::kInput: return vars.get(n.name, w);
-      case rtl::Op::kRegQ: return flop_q[static_cast<std::size_t>(n.imm)];
-      case rtl::Op::kAdd: return ripple_add(arg(0), arg(1), kAigFalse);
-      case rtl::Op::kAddC: return ripple_add(arg(0), arg(1), arg(2)[0]);
-      case rtl::Op::kSub: return ripple_sub(arg(0), arg(1));
-      case rtl::Op::kMul: return multiply_signed(arg(0), arg(1), w);
-      case rtl::Op::kAnd: case rtl::Op::kOr: case rtl::Op::kXor: {
-        BitVec r(w);
-        for (std::size_t i = 0; i < w; ++i)
-          r[i] = n.op == rtl::Op::kAnd ? and2(arg(0)[i], arg(1)[i])
-               : n.op == rtl::Op::kOr ? or2(arg(0)[i], arg(1)[i])
-                                      : xor2(arg(0)[i], arg(1)[i]);
-        return r;
-      }
-      case rtl::Op::kNot: return invert(arg(0));
-      case rtl::Op::kEq: case rtl::Op::kNe: {
-        BitVec eqbits(arg(0).size());
-        for (std::size_t i = 0; i < eqbits.size(); ++i)
-          eqbits[i] = xnor2(arg(0)[i], arg(1)[i]);
-        const AigLit eq_all = and_reduce(eqbits);
-        return {n.op == rtl::Op::kEq ? eq_all : inv(eq_all)};
-      }
-      case rtl::Op::kLtU: return {less_unsigned(arg(0), arg(1))};
-      case rtl::Op::kLtS: {
-        BitVec a = arg(0), b = arg(1);
-        a.back() = inv(a.back());
-        b.back() = inv(b.back());
-        return {less_unsigned(a, b)};
-      }
-      case rtl::Op::kShl: {
-        BitVec r(w, kAigFalse);
-        for (std::size_t i = 0; i < w; ++i)
-          if (i >= static_cast<std::size_t>(n.imm))
-            r[i] = arg(0)[i - static_cast<std::size_t>(n.imm)];
-        return r;
-      }
-      case rtl::Op::kShr: {
-        BitVec r(w, kAigFalse);
-        for (std::size_t i = 0; i + static_cast<std::size_t>(n.imm) < w; ++i)
-          r[i] = arg(0)[i + static_cast<std::size_t>(n.imm)];
-        return r;
-      }
-      case rtl::Op::kMux: {
-        BitVec r(w);
-        for (std::size_t i = 0; i < w; ++i) r[i] = mux2(arg(0)[0], arg(1)[i], arg(2)[i]);
-        return r;
-      }
-      case rtl::Op::kSlice: {
-        BitVec r(w);
-        for (std::size_t i = 0; i < w; ++i)
-          r[i] = arg(0)[i + static_cast<std::size_t>(n.imm)];
-        return r;
-      }
-      case rtl::Op::kZext: return widen(arg(0), w, false);
-      case rtl::Op::kSext: return widen(arg(0), w, true);
-      case rtl::Op::kRamRead: {
-        const auto mem = static_cast<std::size_t>(n.imm);
-        const int port = ram_read_count[mem]++;
-        const auto& m = d.memories()[mem];
-        const std::string base = m.name + "_r" + std::to_string(port);
-        out.outputs.emplace_back(
-            base + "_addr", widen(arg(0), static_cast<std::size_t>(m.addr_bits), false));
-        out.outputs.emplace_back(base + "_ren", arg(1));
-        return vars.get(base + "_data", w);
-      }
-      case rtl::Op::kRomRead: {
-        const auto rom = static_cast<std::size_t>(n.imm);
-        const int port = rom_read_count[rom]++;
-        const auto& r = d.roms()[rom];
-        const std::string base = r.name + "_r" + std::to_string(port);
-        out.outputs.emplace_back(
-            base + "_addr", widen(arg(0), static_cast<std::size_t>(r.addr_bits), false));
-        return vars.get(base + "_data", w);
-      }
-    }
-    throw std::logic_error("cec: unhandled op in rtl bitblast");
-  }
-
-  void run() {
-    ram_read_count.assign(d.memories().size(), 0);
-    rom_read_count.assign(d.roms().size(), 0);
-
-    flop_q.resize(d.registers().size());
-    for (std::size_t r = 0; r < d.registers().size(); ++r) {
-      const auto& reg = d.registers()[r];
-      flop_q[r].resize(static_cast<std::size_t>(reg.width));
-      for (std::size_t i = 0; i < flop_q[r].size(); ++i) {
-        flop_q[r][i] = vars.get("state:" + reg.name + "_q" + std::to_string(i), 1)[0];
-      }
-    }
-
-    for (std::size_t i = 0; i < d.nodes().size(); ++i)
-      bits[i] = blast_node(static_cast<rtl::NodeId>(i));
-
-    for (std::size_t r = 0; r < d.registers().size(); ++r) {
-      const auto& reg = d.registers()[r];
-      const BitVec& next = bits[static_cast<std::size_t>(reg.next)];
-      const AigLit en = reg.enable == rtl::kNoNode
-                            ? kAigTrue
-                            : bits[static_cast<std::size_t>(reg.enable)][0];
-      for (std::size_t i = 0; i < flop_q[r].size(); ++i) {
-        AigLit dnet = next[i];
-        if (reg.enable != rtl::kNoNode) dnet = mux2(en, flop_q[r][i], next[i]);
-        out.outputs.emplace_back("next:" + reg.name + "_q" + std::to_string(i),
-                                 BitVec{dnet});
-      }
-    }
-
-    for (std::size_t m = 0; m < d.memories().size(); ++m) {
-      const auto& mem = d.memories()[m];
-      out.outputs.emplace_back(mem.name + "_waddr",
-                               bits[static_cast<std::size_t>(mem.write_addr)]);
-      out.outputs.emplace_back(mem.name + "_wdata",
-                               bits[static_cast<std::size_t>(mem.write_data)]);
-      out.outputs.emplace_back(mem.name + "_wen",
-                               bits[static_cast<std::size_t>(mem.write_enable)]);
-    }
-
-    for (const auto& o : d.outputs())
-      out.outputs.emplace_back(o.name, bits[static_cast<std::size_t>(o.node)]);
-  }
-};
-
-}  // namespace
-
-BlastedOutputs bitblast_rtl(const rtl::Design& d, Aig& aig, VarMap& vars) {
-  d.validate();
-  RtlBlaster b(d, aig, vars);
-  b.run();
-  return std::move(b.out);
 }
 
 nl::Netlist comb_view(const nl::Netlist& n) {

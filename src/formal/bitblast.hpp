@@ -1,7 +1,9 @@
-// Bitblasters: turn a gate-level netlist::Netlist or the combinational
-// next-state/output cones of an rtl::Design into AIG cones over *named*
-// variables, so two sides blasted into the same Aig with the same VarMap
-// share primary-input / flop-boundary literals and can be mitered.
+// Netlist bitblaster: turns a gate-level netlist::Netlist into AIG cones
+// over *named* variables, so two netlists blasted into the same Aig with
+// the same VarMap share primary-input / flop-boundary literals and can be
+// mitered.  An rtl::Design reaches the AIG only through nl::lower_to_gates
+// (see check_rtl_vs_netlist), so there is one lowering to trust, and the
+// RTL-interpreter vs GateSim differential (FuzzEquivalence) checks it.
 //
 // Flop boundaries are cut: each flop's Q becomes the pseudo-input
 // "state:<key>" and its effective D (for scan flops: se ? si : d) becomes
@@ -20,7 +22,6 @@
 
 #include "formal/aig.hpp"
 #include "netlist/netlist.hpp"
-#include "rtl/ir.hpp"
 
 namespace scflow::formal {
 
@@ -51,7 +52,6 @@ struct BlastedOutputs {
 };
 
 BlastedOutputs bitblast_netlist(const nl::Netlist& n, Aig& aig, VarMap& vars);
-BlastedOutputs bitblast_rtl(const rtl::Design& d, Aig& aig, VarMap& vars);
 
 /// Pairing keys for the sequential cells, in flop ordinal order: the
 /// cell's provenance name when set, positional "#k" otherwise.

@@ -13,6 +13,7 @@
 #include "hdlsim/compiled_sim.hpp"
 #include "hdlsim/gate_sim.hpp"
 #include "kernel/vcd.hpp"
+#include "netlist/lower.hpp"
 #include "obs/ledger.hpp"
 #include "obs/registry.hpp"
 
@@ -204,20 +205,13 @@ std::optional<std::uint64_t> replay_side(const nl::Netlist& n,
   }
 }
 
-void replay_cex(CecCounterexample& cex, const nl::Netlist* a_nl,
-                const nl::Netlist& b) {
+void replay_cex(CecCounterexample& cex, const nl::Netlist& a, const nl::Netlist& b) {
   cex.replayed = true;
+  const std::optional<std::uint64_t> va = replay_side(a, cex);
   const std::optional<std::uint64_t> vb = replay_side(b, cex);
-  if (a_nl != nullptr) {
-    const std::optional<std::uint64_t> va = replay_side(*a_nl, cex);
-    cex.replay_confirmed = va.has_value() && vb.has_value() &&
-                           *va == cex.value_a && *vb == cex.value_b &&
-                           (((*va ^ *vb) >> cex.divergent_bit) & 1u) != 0;
-  } else {
-    // RTL side A: the AIG-predicted value stands in for a replay.
-    cex.replay_confirmed = vb.has_value() && *vb == cex.value_b &&
-                           (((cex.value_a ^ *vb) >> cex.divergent_bit) & 1u) != 0;
-  }
+  cex.replay_confirmed = va.has_value() && vb.has_value() && *va == cex.value_a &&
+                         *vb == cex.value_b &&
+                         (((*va ^ *vb) >> cex.divergent_bit) & 1u) != 0;
 }
 
 /// Hash of the options that change what the engine computes (thread/wall
@@ -287,8 +281,10 @@ void record_metrics(obs::Registry* reg, const CecOptions& opt, const CecStats& s
   }
 }
 
-CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
-                  const nl::Netlist& b, obs::Registry* reg, const CecOptions& opt) {
+}  // namespace
+
+CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b, obs::Registry* reg,
+                            const CecOptions& opt) {
   std::optional<obs::Registry::ScopedTimer> timer;
   if (reg != nullptr) timer.emplace(reg->time_scope(opt.metric_prefix));
   const auto t0 = std::chrono::steady_clock::now();
@@ -298,11 +294,9 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
                                           .count());
   };
   // Input identity for the run ledger (and a future artifact cache): the
-  // structural hash of both sides.  The RTL variant keys on the design
-  // name — rtl::Design has no canonical serialization yet.
+  // structural hash of both sides.
   obs::Fnv1a input_h;
-  if (a_nl != nullptr) input_h.update_u64(nl::content_hash(*a_nl));
-  else input_h.update_str("rtl:" + a_rtl->name());
+  input_h.update_u64(nl::content_hash(a));
   input_h.update_u64(nl::content_hash(b));
   const std::uint64_t input_hash = input_h.digest();
 
@@ -311,8 +305,8 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
 
   // Positional flop pairing is only meaningful when both sides have the
   // same flop count; with provenance names this guard never fires.
-  if (a_nl != nullptr) {
-    const auto ka = flop_keys(*a_nl);
+  {
+    const auto ka = flop_keys(a);
     const auto kb = flop_keys(b);
     const auto positional = [](const std::vector<std::string>& ks) {
       for (const auto& k : ks)
@@ -324,27 +318,16 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
           "cec: cannot pair unnamed flops, counts differ (" +
           std::to_string(ka.size()) + " vs " + std::to_string(kb.size()) + ")");
     }
-  } else if (!flop_keys(b).empty() && flop_keys(b).front()[0] == '#') {
-    throw std::invalid_argument("cec: rtl comparison needs named netlist flops");
   }
 
   // Tie scan-style pins to 0 on whichever side has them.
   for (const std::string& name : opt.tie_zero_inputs) {
-    std::size_t width = 0;
-    if (const nl::PortBits* p = b.find_input(name)) width = p->nets.size();
-    if (width == 0 && a_nl != nullptr) {
-      if (const nl::PortBits* p = a_nl->find_input(name)) width = p->nets.size();
-    }
-    if (width == 0 && a_rtl != nullptr) {
-      for (const auto& in : a_rtl->inputs())
-        if (in.name == name) width = static_cast<std::size_t>(in.width);
-    }
-    if (width > 0) eng.vars.seed(name, std::vector<AigLit>(width, kAigFalse));
+    const nl::PortBits* p = b.find_input(name);
+    if (p == nullptr) p = a.find_input(name);
+    if (p != nullptr) eng.vars.seed(name, std::vector<AigLit>(p->nets.size(), kAigFalse));
   }
 
-  const BlastedOutputs oa = a_nl != nullptr
-                                ? bitblast_netlist(*a_nl, eng.aig, eng.vars)
-                                : bitblast_rtl(*a_rtl, eng.aig, eng.vars);
+  const BlastedOutputs oa = bitblast_netlist(a, eng.aig, eng.vars);
   const BlastedOutputs ob = bitblast_netlist(b, eng.aig, eng.vars);
   eng.sync_nodes();
   eng.stats.aig_nodes = eng.aig.node_count();
@@ -383,21 +366,21 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
     res.stats.sat_conflicts = eng.solver.stats().conflicts;
     res.stats.sat_decisions = eng.solver.stats().decisions;
     res.stats.sat_propagations = eng.solver.stats().propagations;
-    if (res.cex && opt.replay) replay_cex(*res.cex, a_nl, b);
+    if (res.cex && opt.replay) replay_cex(*res.cex, a, b);
     record_metrics(reg, opt, res.stats, res, input_hash, elapsed_ns());
     return res;
   };
 
   // --- compiled-simulation pre-pass: bit-parallel refutation -------------
-  // Netlist-vs-netlist only: run both flop-stripped comb_views through the
-  // two-state compiled engine on identical name-keyed pattern words
-  // (core::pattern_word — each side derives its stimulus independently, so
-  // same-named ports agree without shared state; the VarMap has already
-  // enforced that shared names carry matching widths).  A differing output
-  // word refutes equivalence before any AIG node words are allocated, and
-  // the counterexample comes from an engine independent of the bitblaster.
-  if (opt.compiled_presim && a_nl != nullptr && opt.sim_rounds > 0) {
-    const nl::Netlist view_a = comb_view(*a_nl);
+  // Run both flop-stripped comb_views through the two-state compiled engine
+  // on identical name-keyed pattern words (core::pattern_word — each side
+  // derives its stimulus independently, so same-named ports agree without
+  // shared state; the VarMap has already enforced that shared names carry
+  // matching widths).  A differing output word refutes equivalence before
+  // any AIG node words are allocated, and the counterexample comes from an
+  // engine independent of the bitblaster.
+  if (opt.compiled_presim && opt.sim_rounds > 0) {
+    const nl::Netlist view_a = comb_view(a);
     const nl::Netlist view_b = comb_view(b);
     hdlsim::CompiledSim sim_a(view_a);
     hdlsim::CompiledSim sim_b(view_b);
@@ -598,8 +581,6 @@ CecResult run_cec(const nl::Netlist* a_nl, const rtl::Design* a_rtl,
   return finish(any_unknown ? CecStatus::kUnknown : CecStatus::kEquivalent);
 }
 
-}  // namespace
-
 CecOptions CecOptions::scan_modulo() {
   CecOptions o;
   o.tie_zero_inputs = {"scan_in", "scan_enable"};
@@ -607,14 +588,9 @@ CecOptions CecOptions::scan_modulo() {
   return o;
 }
 
-CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b,
-                            obs::Registry* reg, const CecOptions& options) {
-  return run_cec(&a, nullptr, b, reg, options);
-}
-
 CecResult check_rtl_vs_netlist(const rtl::Design& a, const nl::Netlist& b,
                                obs::Registry* reg, const CecOptions& options) {
-  return run_cec(nullptr, &a, b, reg, options);
+  return check_equivalence(nl::lower_to_gates(a), b, reg, options);
 }
 
 bool write_cex_vcd(const CecCounterexample& cex, const std::string& path) {

@@ -1,6 +1,6 @@
 // Combinational equivalence checking over matched primary-input / flop
 // boundaries: the formal gate behind every netlist refinement step
-// (gate optimisation, scan insertion, Verilog round-trips, RTL lowering).
+// (word passes, gate optimisation, scan insertion, Verilog round-trips).
 //
 // Engine: both sides bitblast into one shared, structurally hashed AIG
 // (identical cones collapse to the same literal for free); 64-bit-parallel
@@ -53,7 +53,7 @@ struct CecStats {
   /// Compiled-simulation pre-pass: rounds of 64 patterns run through the
   /// bit-parallel CompiledSim on both comb_views, and the bytecode ops
   /// those rounds executed (both sides summed).  Zero when the pre-pass
-  /// was disabled or skipped (RTL side A).
+  /// was disabled.
   std::size_t presim_rounds = 0;
   std::uint64_t presim_ops = 0;
   std::size_t compare_points = 0;  // ports/cones compared
@@ -80,12 +80,12 @@ struct CecOptions {
   std::vector<std::string> ignore_outputs;
   bool fraig_sweep = true;  ///< SAT-sweep internal candidate equivalences
   int sim_rounds = 4;       ///< rounds of 64 random patterns each
-  /// Netlist-vs-netlist only: before touching the AIG's random simulation,
-  /// run sim_rounds rounds of shared name-keyed patterns through the
-  /// two-state compiled simulator on both comb_views — the cheapest
-  /// refutation layer (straight-line bytecode, no AIG node words), and a
-  /// cross-check of the bitblaster itself since its counterexamples come
-  /// from an independent engine.
+  /// Before touching the AIG's random simulation, run sim_rounds rounds
+  /// of shared name-keyed patterns through the two-state compiled
+  /// simulator on both comb_views — the cheapest refutation layer
+  /// (straight-line bytecode, no AIG node words), and a cross-check of
+  /// the bitblaster itself since its counterexamples come from an
+  /// independent engine.
   bool compiled_presim = true;
   std::uint64_t sweep_conflict_limit = 200;  ///< per sweep SAT call
   std::size_t sweep_max_checks = 10000;      ///< total sweep SAT calls
@@ -115,9 +115,12 @@ CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b,
                             obs::Registry* reg = nullptr,
                             const CecOptions& options = {});
 
-/// RTL-vs-gates variant: proves nl::lower_to_gates preserved the design's
-/// combinational next-state/output semantics.  Counterexamples replay
-/// through side B (the netlist) only.
+/// RTL-vs-gates variant: lowers @p a with nl::lower_to_gates and runs
+/// check_equivalence against @p b, so it proves that @p b equals the
+/// design's own lowering — word passes, gate optimisation and hand edits
+/// included.  It does not check the lowering itself; the RTL-interpreter
+/// vs gate-simulation differential (FuzzEquivalence) is that oracle.
+/// Counterexamples replay through GateSim on both netlists.
 CecResult check_rtl_vs_netlist(const rtl::Design& a, const nl::Netlist& b,
                                obs::Registry* reg = nullptr,
                                const CecOptions& options = {});

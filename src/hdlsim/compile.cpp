@@ -5,14 +5,6 @@
 
 namespace scflow::hdlsim {
 
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kInterpreted: return "interpreted";
-    case Backend::kCompiled: return "compiled";
-  }
-  return "?";
-}
-
 CompiledProgram compile_netlist(const nl::Netlist& n) {
   n.validate();
   CompiledProgram prog;

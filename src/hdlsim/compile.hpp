@@ -30,8 +30,6 @@ enum class Backend {
   kCompiled,     ///< straight-line bit-parallel CompiledSim
 };
 
-[[nodiscard]] const char* backend_name(Backend b);
-
 /// One fused bytecode op, packed to 16 bytes so one cache line carries
 /// four (the executor streams the whole op array every settle).  `kind()`
 /// is a nl::CellType for plain cells (the flop-sample ops reuse

@@ -33,13 +33,6 @@ struct SimCounters {
   /// Heap allocations performed by step()/settle() after construction.
   /// The table-driven engine keeps this at zero in steady state.
   std::uint64_t steady_state_allocs = 0;
-
-  /// THE accessor that maps these fields into the unified metric registry
-  /// ("<prefix>.evaluations", ...).  Every consumer (run_src_netlist
-  /// results, the testbench VM, the cosim bridge, the benches) goes
-  /// through this one function, so adding a field here cannot silently
-  /// desync any of them.
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };
 
 /// One sweep lane's cumulative share of the parallel level sweep.  The
@@ -59,9 +52,8 @@ struct WorkerShardStats {
   /// on lane 0).
   std::uint64_t level_sweeps = 0;
 
-  /// Registry mapping, mirroring SimCounters::record_into: emits
-  /// "<prefix>.evaluations" etc.  Callers typically pass a per-lane
-  /// prefix such as "gate.worker3".
+  /// Registry mapping: emits "<prefix>.evaluations" etc.  Callers
+  /// typically pass a per-lane prefix such as "gate.worker3".
   void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };
 

@@ -55,8 +55,7 @@ struct VmRunResult {
   std::uint64_t cycles = 0;
   std::uint64_t instructions_executed = 0;  ///< interpreted testbench work
   SimCounters dut_counters;
-  /// DUT evaluations, derived from the one SimCounters copy (see
-  /// SimCounters::record_into for the registry mapping).
+  /// DUT evaluations, derived from the one SimCounters copy.
   [[nodiscard]] std::uint64_t dut_work_units() const { return dut_counters.evaluations; }
 };
 

@@ -21,7 +21,7 @@
 //                      hold, preceded by a malformed (null-buffer) push.
 //  * kRingStorm      — a client stops pulling, wedging the output ring
 //                      full until the storm passes (backpressure path).
-//  * kAllocFail      — session-state allocation "fails" at open() and
+//  * kAllocFail      — session-state allocation "fails" at try_open() and
 //                      the admission path must reject, not crash.
 //                      Injected by SrcService itself.
 //

@@ -1,7 +1,6 @@
 #include "serve/src_service.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "hdlsim/batch_runner.hpp"
@@ -114,14 +113,6 @@ AdmitResult SrcService::try_open(const SessionConfig& config) {
   ++open_count_;
   ++opened_total_;
   return {{idx, slot.generation}, AdmitStatus::kAdmitted};
-}
-
-SessionId SrcService::open(const SessionConfig& config) {
-  const AdmitResult r = try_open(config);
-  if (r.status == AdmitStatus::kRateUnsupported) {
-    throw std::invalid_argument("SrcService::open: rate outside supported range");
-  }
-  return r.id;  // invalid id on kOverloaded / kAllocFailed, as before
 }
 
 bool SrcService::close(SessionId id) {

@@ -33,8 +33,7 @@
 //    evicted slot's stats stay readable; reclaiming it bumps the
 //    generation, invalidating stale handles.
 //  * Admission control — try_open() returns a reasoned verdict
-//    (kOverloaded / kRateUnsupported / kAllocFailed) instead of a bare
-//    invalid id; with a shed watermark configured, a full table sheds
+//    (kOverloaded / kRateUnsupported / kAllocFailed) with the id; with a shed watermark configured, a full table sheds
 //    the lowest-progress session (deterministic victim: min converted
 //    inputs, lowest slot breaks ties) to admit the newcomer, counting
 //    every dropped sample.
@@ -48,7 +47,7 @@
 //    deterministic service state; serve/resilience.hpp wraps them in a
 //    checksummed envelope for crash-consistent checkpoint/restore.
 //
-// Threading contract: open/close/step/record_into belong to one control
+// Threading contract: try_open/close/step/record_into belong to one control
 // thread; push/pull/stats may run concurrently from one client thread
 // per session (SampleRing is SPSC).  Client threads stamp lease
 // activity through a relaxed atomic the control thread samples at
@@ -168,9 +167,6 @@ class SrcService {
   /// Opens a session with a reasoned verdict; never throws for a
   /// well-formed config.  Rejections are counted in resilience_stats().
   AdmitResult try_open(const SessionConfig& config);
-  /// Legacy surface: returns an invalid id when the table is full,
-  /// throws std::invalid_argument for rates plan_ratio rejects.
-  SessionId open(const SessionConfig& config);
   /// Marks the session closed.  Stats stay readable until the next
   /// step(), which reclaims the slot (no lane can be holding it then).
   bool close(SessionId id);

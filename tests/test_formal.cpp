@@ -17,6 +17,7 @@
 #include "netlist/opt.hpp"
 #include "obs/registry.hpp"
 #include "rtl/builder.hpp"
+#include "rtl/passes.hpp"
 
 namespace scflow::formal {
 namespace {
@@ -226,8 +227,8 @@ TEST(CecTest, RtlVsLoweredNetlistIsStructurallyFree) {
   const nl::Netlist gates = nl::lower_to_gates(d, {});
   const CecResult res = check_rtl_vs_netlist(d, gates);
   EXPECT_EQ(res.status, CecStatus::kEquivalent);
-  // The RTL bitblaster mirrors the lowerer gate-for-gate, so hashing
-  // collapses the whole miter without a single SAT call.
+  // The RTL side is the design's own lowering, so hashing collapses the
+  // whole miter without a single SAT call.
   EXPECT_EQ(res.stats.sat_calls, 0u);
   EXPECT_EQ(res.stats.bits_structural, res.stats.compare_bits);
 }
@@ -327,6 +328,17 @@ TEST(CecTest, AssertEquivalentThrowsWithDivergentNetAndVcd) {
   std::remove(vcd_path.c_str());
 }
 
+TEST(CecTest, RtlVsInjectedBugYieldsReplayedCounterexample) {
+  const rtl::Design d = small_design();
+  nl::Netlist bad = nl::lower_to_gates(d, {});
+  ASSERT_TRUE(inject_and_to_or(bad));
+  const CecResult res = check_rtl_vs_netlist(d, bad);
+  ASSERT_EQ(res.status, CecStatus::kNotEquivalent);
+  ASSERT_TRUE(res.cex.has_value());
+  EXPECT_TRUE(res.cex->replayed);
+  EXPECT_TRUE(res.cex->replay_confirmed);
+}
+
 TEST(CecTest, CombViewExposesStateAndNextPorts) {
   const rtl::Design d = small_design();
   const nl::Netlist gates = nl::lower_to_gates(d, {});
@@ -423,7 +435,7 @@ TEST(CecFuzzRtl, LoweredAndOptimisedRandomDesigns) {
   auto rnd = [&rng](int lo, int hi) {
     return lo + static_cast<int>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
   };
-  for (int iter = 0; iter < 10; ++iter) {
+  for (int iter = 0; iter < 200; ++iter) {
     rtl::DesignBuilder b("rfz" + std::to_string(iter));
     std::vector<rtl::Sig> pool;
     for (int i = 0; i < 3; ++i)
@@ -447,11 +459,10 @@ TEST(CecFuzzRtl, LoweredAndOptimisedRandomDesigns) {
     b.output("o", pool.back());
     const rtl::Design d = b.finalise();
 
-    const nl::Netlist gates = nl::lower_to_gates(d, {});
-    const nl::Netlist opt = nl::optimize_gates(gates);
-    ASSERT_EQ(check_rtl_vs_netlist(d, gates).status, CecStatus::kEquivalent)
-        << "iter " << iter;
-    const CecResult res = check_equivalence(gates, opt);
+    // Word passes, lowering and gate opt against the design's own lowering.
+    const nl::Netlist opt =
+        nl::optimize_gates(nl::lower_to_gates(rtl::run_passes(d, {}), {}));
+    const CecResult res = check_rtl_vs_netlist(d, opt);
     ASSERT_EQ(res.status, CecStatus::kEquivalent)
         << "iter " << iter
         << (res.cex ? " divergent " + res.cex->divergent_output : "");

@@ -1,10 +1,13 @@
 // Randomised cross-layer equivalence: generate random word-level designs
-// (expression DAGs + registers + a memory), run the word-level passes and
-// the full gate lowering/optimisation, and check that the rtl::Interpreter
-// and the 4-value gate simulator agree cycle for cycle on random stimulus.
-// This is the synthesis substrate's strongest safety net.
+// (expression DAGs + registers + a RAM + a ROM), lower them to gates both
+// raw and after the word-level passes and gate optimisation, and check
+// that the rtl::Interpreter and the 4-value gate simulator agree cycle for
+// cycle on random stimulus.  This differential is the oracle for
+// nl::lower_to_gates: RTL-vs-netlist CEC proves netlists against the
+// design's own lowering, so nothing else checks the lowering itself.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <random>
 
 #include "dtypes/bit_int.hpp"
@@ -24,9 +27,13 @@ using rtl::Design;
 using rtl::DesignBuilder;
 using rtl::Sig;
 
-/// Builds a random design with @p n_ops operations over a few inputs and
-/// registers.  All generated constructs stay within the IR's contract
-/// (widths 1..48, argument widths matched through resize).
+/// Builds a random design with @p n_ops operations over a few inputs,
+/// registers, one RAM (a write port and a read port) and one ROM read.
+/// Every operation drives an output of its own, so a wrong gate anywhere
+/// in its lowering is observable.  All generated constructs stay within
+/// the IR's contract (widths 1..48, argument widths matched through
+/// resize); memory addresses are narrower than the memory, so the
+/// lowering has to zero-extend them.
 Design random_design(std::mt19937_64& rng, int n_ops) {
   DesignBuilder b("fuzz");
   auto rnd = [&rng](int lo, int hi) {
@@ -52,10 +59,24 @@ Design random_design(std::mt19937_64& rng, int n_ops) {
     return sign ? b.resize_s(s, w) : b.resize_u(s, w);
   };
 
+  const int ram_addr_bits = rnd(2, 5);
+  const int ram_data_bits = rnd(1, 16);
+  const int ram = b.memory("ram", ram_addr_bits, ram_data_bits);
+  const Sig ram_data = b.ram_read(ram, pick_w(rnd(1, ram_addr_bits - 1), false));
+  const int rom_addr_bits = rnd(2, 5);
+  const int rom_data_bits = rnd(1, 16);
+  std::vector<std::int64_t> contents(std::size_t{1} << rom_addr_bits);
+  for (auto& v : contents) v = static_cast<std::int64_t>(rng() & bit_mask(rom_data_bits));
+  const int rom = b.rom("rom", rom_addr_bits, rom_data_bits, std::move(contents));
+  const Sig rom_data = b.rom_read(rom, pick_w(rnd(1, rom_addr_bits - 1), false));
+  pool.push_back(ram_data);
+  pool.push_back(rom_data);
+
   for (int i = 0; i < n_ops; ++i) {
     const int w = rnd(1, 40);
+    const int cw = rnd(1, 4);  // narrow compares: operands often differ in one bit
     Sig out;
-    switch (rnd(0, 11)) {
+    switch (rnd(0, 15)) {
       case 0: out = b.add(pick_w(w, true), pick_w(w, true)); break;
       case 1: out = b.sub(pick_w(w, true), pick_w(w, true)); break;
       case 2: {
@@ -72,17 +93,24 @@ Design random_design(std::mt19937_64& rng, int n_ops) {
       case 8: out = b.zext(b.lt_s(pick_w(w, true), pick_w(w, true)), rnd(1, 4)); break;
       case 9: out = b.shl(pick_w(w, false), rnd(0, w - 1)); break;
       case 10: out = b.sra(pick_w(w, true), rnd(0, 8)); break;
+      case 11: out = b.shr(pick_w(w, false), rnd(0, w - 1)); break;
+      case 12: out = b.eq(pick_w(cw, false), pick_w(cw, false)); break;
+      case 13: out = b.ne(pick_w(cw, false), pick_w(cw, false)); break;
+      case 14: out = b.lt_u(pick_w(cw, false), pick_w(cw, false)); break;
       default: out = b.addc(pick_w(w, true), pick_w(w, true), b.resize_u(pick(), 1)); break;
     }
     pool.push_back(out);
+    b.output("op" + std::to_string(i), out);
   }
 
-  // Register next-functions and a handful of outputs.
+  // Register next-functions, the RAM write port and the read-data outputs.
   for (auto& r : regs) {
     b.assign(r, b.resize_u(pick(), 1), b.resize_s(pick(), r.q.width));
   }
-  const int n_outs = rnd(1, 3);
-  for (int o = 0; o < n_outs; ++o) b.output("out" + std::to_string(o), pick());
+  b.ram_write(ram, pick_w(rnd(1, ram_addr_bits - 1), false), pick_w(ram_data_bits, false),
+              b.resize_u(pick(), 1));
+  b.output("ram_data", ram_data);
+  b.output("rom_data", rom_data);
   return b.finalise();
 }
 
@@ -91,31 +119,37 @@ class FuzzEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(FuzzEquivalence, InterpreterMatchesOptimisedGates) {
   std::mt19937_64 rng(0xF00D + static_cast<unsigned>(GetParam()));
   const Design d = random_design(rng, 24);
-  const Design optimised = rtl::run_passes(d, rtl::PassOptions{});
-  nl::Netlist gates = nl::lower_to_gates(optimised, {});
-  gates = nl::optimize_gates(gates);
+  // The raw lowering (what RTL-vs-netlist CEC trusts) and the full
+  // passes + lowering + gate-opt netlist, each against the interpreter.
+  const nl::Netlist raw = nl::lower_to_gates(d, {});
+  const nl::Netlist optimised =
+      nl::optimize_gates(nl::lower_to_gates(rtl::run_passes(d, rtl::PassOptions{}), {}));
 
   rtl::Interpreter ref(d);
-  hdlsim::GateSim sim(gates);
+  hdlsim::GateSim sims[] = {hdlsim::GateSim(raw), hdlsim::GateSim(optimised)};
+  const char* const kSimNames[] = {"raw lowering", "optimised"};
 
   for (int cycle = 0; cycle < 60; ++cycle) {
     for (const auto& in : d.inputs()) {
       const std::uint64_t v = rng() & bit_mask(in.width);
       ref.set_input(in.name, v);
-      sim.set_input(in.name, v);
+      for (auto& sim : sims) sim.set_input(in.name, v);
     }
     ref.evaluate();
-    sim.settle();
-    for (const auto& out : d.outputs()) {
-      ASSERT_EQ(ref.output(out.name), sim.output(out.name))
-          << "seed " << GetParam() << " cycle " << cycle << " output " << out.name;
+    for (std::size_t k = 0; k < std::size(sims); ++k) {
+      sims[k].settle();
+      for (const auto& out : d.outputs()) {
+        ASSERT_EQ(ref.output(out.name), sims[k].output(out.name))
+            << "seed " << GetParam() << " cycle " << cycle << " output " << out.name
+            << " (" << kSimNames[k] << ")";
+      }
     }
     ref.step();
-    sim.step();
+    for (auto& sim : sims) sim.step();
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence, ::testing::Range(0, 24));
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence, ::testing::Range(0, 64));
 
 // ---------------------------------------------------------------------------
 // Table-driven vs reference evaluator.

@@ -2,15 +2,20 @@
 // cases (u64 counter wraparound, zero capacity, concurrent SPSC stress),
 // session leases and graceful eviction (drain-before-evict, generation
 // invalidation), admission control and load shedding, deterministic
-// chaos injection (plan purity, thread-invariant fault schedules), and
-// the crash-consistent snapshot/restore envelope (bit-identical
-// continuation, corruption rejection).
+// chaos injection (plan purity, thread-invariant fault schedules, the
+// 32-seed soak of all five fault classes at threads {1,2,4,8}), and the
+// crash-consistent snapshot/restore envelope (bit-identical continuation
+// on all eight ratio pairs, thread-invariant images, corruption
+// rejection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dsp/stimulus.hpp"
@@ -24,6 +29,12 @@ namespace scflow::serve {
 namespace {
 
 using dsp::StereoSample;
+
+// The four paper pairs plus staged ratios, as in the service tests.
+constexpr std::uint32_t kRatioTable[][2] = {
+    {44'100, 48'000}, {48'000, 44'100}, {48'000, 48'000}, {32'000, 48'000},
+    {8'000, 48'000},  {48'000, 8'000},  {22'050, 48'000}, {44'100, 8'000},
+};
 
 // --- SampleRing edges ----------------------------------------------------
 
@@ -128,7 +139,7 @@ TEST(Leases, IdleSessionIsEvictedAndCounted) {
   ServiceOptions opt = small_service();
   opt.idle_timeout_steps = 3;
   SrcService service(opt);
-  const SessionId id = service.open({48'000, 48'000});
+  const SessionId id = service.try_open({48'000, 48'000}).id;
   const auto stim = dsp::make_noise_stimulus(40, 7);
   EXPECT_EQ(service.push(id, stim.data(), stim.size()), stim.size());
   service.run_until_idle();
@@ -151,7 +162,7 @@ TEST(Leases, LifetimeLeaseEvictsEvenAnActiveSession) {
   ServiceOptions opt = small_service();
   opt.max_lifetime_steps = 4;
   SrcService service(opt);
-  const SessionId id = service.open({44'100, 48'000});
+  const SessionId id = service.try_open({44'100, 48'000}).id;
   const auto stim = dsp::make_noise_stimulus(8, 3);
   std::vector<StereoSample> out(64);
   // The client keeps pushing and pulling every step — idle never trips,
@@ -180,7 +191,7 @@ TEST(Leases, EvictionDrainsQueuedInputsBeforeTerminal) {
   opt.work_quantum = 16;
   opt.idle_timeout_steps = 2;
   SrcService service(opt);
-  const SessionId id = service.open({48'000, 48'000});
+  const SessionId id = service.try_open({48'000, 48'000}).id;
   const auto stim = dsp::make_noise_stimulus(64, 11);
   ASSERT_EQ(service.push(id, stim.data(), stim.size()), stim.size());
   // Convert until the output ring is full and the session stalls.
@@ -226,7 +237,7 @@ TEST(Leases, SweepReclaimsEvictedSlotAndInvalidatesHandle) {
   ServiceOptions opt = small_service(1);
   opt.idle_timeout_steps = 1;
   SrcService service(opt);
-  const SessionId id = service.open({48'000, 44'100});
+  const SessionId id = service.try_open({48'000, 44'100}).id;
   const auto stim = dsp::make_noise_stimulus(32, 5);
   ASSERT_EQ(service.push(id, stim.data(), stim.size()), stim.size());
   service.run_until_idle();
@@ -242,7 +253,7 @@ TEST(Leases, SweepReclaimsEvictedSlotAndInvalidatesHandle) {
   EXPECT_EQ(service.push(id, stim.data(), 4), 0u);
 
   // The slot is reusable; the stale handle never resolves to the tenant.
-  const SessionId next = service.open({48'000, 48'000});
+  const SessionId next = service.try_open({48'000, 48'000}).id;
   ASSERT_TRUE(next.valid());
   EXPECT_EQ(next.slot, id.slot);
   EXPECT_NE(next.generation, id.generation);
@@ -254,12 +265,17 @@ TEST(Leases, SweepReclaimsEvictedSlotAndInvalidatesHandle) {
 
 TEST(Admission, RejectsUnsupportedRateWithReason) {
   SrcService service(small_service());
-  const AdmitResult r = service.try_open({0, 48'000});
-  EXPECT_EQ(r.status, AdmitStatus::kRateUnsupported);
-  EXPECT_FALSE(r.id.valid());
-  EXPECT_EQ(service.resilience_stats().admit_rate_unsupported, 1u);
-  EXPECT_THROW((void)service.open({0, 48'000}), std::invalid_argument);
-  EXPECT_STREQ(admit_status_name(r.status), "rate_unsupported");
+  for (const SessionConfig bad :
+       {SessionConfig{0, 48'000}, SessionConfig{2'000, 48'000},
+        SessionConfig{48'000, 1'000'000}}) {
+    const AdmitResult r = service.try_open(bad);
+    EXPECT_EQ(r.status, AdmitStatus::kRateUnsupported) << bad.fs_in_hz << "->" << bad.fs_out_hz;
+    EXPECT_FALSE(r.id.valid());
+    EXPECT_STREQ(admit_status_name(r.status), "rate_unsupported");
+  }
+  EXPECT_EQ(service.resilience_stats().admit_rate_unsupported, 3u);
+  EXPECT_EQ(service.session_count(), 0u) << "rejected opens must not leak slots";
+  EXPECT_TRUE(service.try_open({48'000, 48'000}).id.valid());
 }
 
 TEST(Admission, FullTableRejectsAsOverloadedWithoutWatermark) {
@@ -277,8 +293,8 @@ TEST(Admission, WatermarkShedsLowestProgressSession) {
   ServiceOptions opt = small_service(2);
   opt.shed_high_watermark = 2;
   SrcService service(opt);
-  const SessionId lagging = service.open({48'000, 48'000});
-  const SessionId leading = service.open({48'000, 48'000});
+  const SessionId lagging = service.try_open({48'000, 48'000}).id;
+  const SessionId leading = service.try_open({48'000, 48'000}).id;
   const auto stim = dsp::make_noise_stimulus(32, 9);
   // leading converts its inputs; lagging queues 32 and never runs.
   ASSERT_EQ(service.push(leading, stim.data(), stim.size()), stim.size());
@@ -332,59 +348,133 @@ TEST(ChaosPlan, ClassNamesAreStable) {
   EXPECT_STREQ(chaos_class_name(ChaosClass::kAllocFail), "alloc_fail");
 }
 
-// Runs a fixed chaos workload (service-side injections only: stalls and
-// allocation failures) and returns every session's output hash plus the
-// fault census.
+// Runs a fixed chaos workload over @p sessions_n sessions of @p samples_n
+// samples each and returns every session's (output hash, produced count),
+// (0, 0) for a disconnected one, plus the fault census.  SrcService
+// injects the plan's lane stalls and allocation failures itself; the
+// driver injects the other three classes from the same plan, keyed on its
+// own round counter: mid-stream disconnects, a null push followed by an
+// oversized one, and ring storms that stop pulling for a while.  Every
+// survivor must conserve its samples and the run must not livelock.
 struct ChaosRun {
-  std::vector<std::uint64_t> hashes;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> outputs;
   ResilienceStats census;
 };
 
-ChaosRun run_chaos_fixture(unsigned threads) {
+ChaosOptions service_side_chaos() {
   ChaosOptions copt;
   copt.seed = 42;
   copt.stall_per_dispatch = 1u << 13;  // ~12%: plenty of stalls
   copt.alloc_fail_per_open = 1u << 13;
+  copt.disconnect_per_round = 0;
+  copt.oversized_per_round = 0;
+  copt.storm_per_round = 0;
+  return copt;
+}
+
+ChaosRun run_chaos_fixture(unsigned threads, const ChaosOptions& copt = service_side_chaos(),
+                           std::size_t sessions_n = 8, std::size_t samples_n = 300) {
+  SCOPED_TRACE("chaos seed " + std::to_string(copt.seed) + " threads=" +
+               std::to_string(threads));
   const ChaosPlan plan(copt);
   ServiceOptions opt;
   opt.threads = threads;
-  opt.max_sessions = 8;
+  opt.max_sessions = sessions_n;
   opt.input_ring = 128;
   opt.output_ring = 512;
   opt.work_quantum = 32;
   SrcService service(opt);
   service.set_chaos(&plan);
 
-  constexpr std::uint32_t kRates[][2] = {{44'100, 48'000}, {48'000, 44'100},
-                                         {32'000, 48'000}, {48'000, 48'000}};
   std::vector<SessionId> ids;
-  for (int i = 0; i < 8; ++i) {
+  std::vector<std::vector<StereoSample>> stimuli;
+  for (std::size_t i = 0; i < sessions_n; ++i) {
+    const auto& ratio = kRatioTable[i % std::size(kRatioTable)];
     AdmitResult r{};
     for (int attempt = 0; attempt < 8; ++attempt) {
-      r = service.try_open({kRates[i % 4][0], kRates[i % 4][1]});
+      r = service.try_open({ratio[0], ratio[1]});
       if (r.status != AdmitStatus::kAllocFailed) break;
     }
     EXPECT_EQ(r.status, AdmitStatus::kAdmitted);
     ids.push_back(r.id);
+    stimuli.push_back(dsp::make_noise_stimulus(samples_n, copt.seed * 1'000 + i));
   }
+
+  constexpr std::size_t kChunk = 64;
+  constexpr std::uint64_t kRoundCap = 100'000;  // livelock guard, far above need
+  std::vector<std::size_t> fed(sessions_n, 0);
+  std::vector<std::uint64_t> pulled(sessions_n, 0);
+  std::vector<std::uint64_t> storm_until(sessions_n, 0);
+  std::vector<bool> gone(sessions_n, false);
   std::vector<StereoSample> out(256);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto stim = dsp::make_noise_stimulus(300, 100 + i);
-    std::size_t fed = 0;
-    while (fed < stim.size()) {
-      fed += service.push(ids[i], stim.data() + fed, stim.size() - fed);
-      service.step();
-      while (service.pull(ids[i], out.data(), out.size()) > 0) {}
+  std::uint64_t round = 0;
+  for (bool progress = true; progress && round < kRoundCap;) {
+    ++round;
+    progress = false;
+    for (std::size_t i = 0; i < sessions_n; ++i) {
+      const auto si = static_cast<std::uint32_t>(i);
+      if (gone[i]) continue;
+      if (plan.disconnect(round, si)) {
+        service.close(ids[i]);
+        service.note_chaos(ChaosClass::kDisconnect);
+        gone[i] = true;
+        progress = true;
+        continue;
+      }
+      if (plan.ring_storm_start(round, si) && storm_until[i] <= round) {
+        storm_until[i] = round + copt.storm_len_rounds;
+        service.note_chaos(ChaosClass::kRingStorm);
+      }
+      std::size_t offer = std::min(kChunk, samples_n - fed[i]);
+      if (offer > 0 && plan.oversized_push(round, si)) {
+        (void)service.push(ids[i], nullptr, 3);
+        offer = samples_n - fed[i];
+        service.note_chaos(ChaosClass::kOversizedPush);
+      }
+      fed[i] += service.push(ids[i], stimuli[i].data() + fed[i], offer);
+      progress |= fed[i] < samples_n;
+    }
+    progress |= service.step() > 0;
+    for (std::size_t i = 0; i < sessions_n; ++i) {
+      if (gone[i]) continue;
+      if (storm_until[i] > round) {
+        progress = true;
+        continue;
+      }
+      std::size_t got;
+      while ((got = service.pull(ids[i], out.data(), out.size())) > 0) {
+        pulled[i] += got;
+        progress = true;
+      }
     }
   }
-  service.run_until_idle();
+  EXPECT_LT(round, kRoundCap) << "livelock";
+
   ChaosRun run;
-  for (const SessionId id : ids) {
-    while (service.pull(id, out.data(), out.size()) > 0) {}
-    run.hashes.push_back(service.stats(id)->output_hash);
+  for (std::size_t i = 0; i < sessions_n; ++i) {
+    const SessionStats* stats = gone[i] ? nullptr : service.stats(ids[i]);
+    EXPECT_TRUE(gone[i] || stats != nullptr) << "survivor " << i << " lost its slot";
+    if (stats == nullptr) {
+      run.outputs.emplace_back(0, 0);
+      continue;
+    }
+    // Chaos may refuse samples (push_rejected) but never lose one.
+    EXPECT_EQ(stats->accepted, samples_n) << "session " << i;
+    EXPECT_EQ(stats->converted_in, samples_n) << "session " << i;
+    EXPECT_EQ(stats->produced, stats->pulled) << "session " << i;
+    EXPECT_EQ(pulled[i], stats->pulled) << "session " << i;
+    run.outputs.emplace_back(stats->output_hash, stats->produced);
   }
   run.census = service.resilience_stats();
   return run;
+}
+
+/// The census fields that must not depend on the lane count; the first
+/// kChaosClassCount are the chaos classes in ChaosClass order.
+std::array<std::uint64_t, 9> census_key(const ResilienceStats& c) {
+  return {c.chaos_stalls,     c.chaos_disconnects,    c.chaos_oversized_pushes,
+          c.chaos_ring_storms, c.chaos_alloc_failures, c.evict_idle,
+          c.evict_lifetime,   c.admit_overloaded,     c.admit_rate_unsupported};
 }
 
 TEST(ChaosDeterminism, FaultScheduleAndHashesAreThreadInvariant) {
@@ -393,64 +483,104 @@ TEST(ChaosDeterminism, FaultScheduleAndHashesAreThreadInvariant) {
   EXPECT_GT(base.census.chaos_alloc_failures, 0u);
   for (unsigned threads : {2u, 4u}) {
     const ChaosRun other = run_chaos_fixture(threads);
-    EXPECT_EQ(other.hashes, base.hashes) << "threads=" << threads;
-    EXPECT_EQ(other.census.chaos_stalls, base.census.chaos_stalls);
-    EXPECT_EQ(other.census.chaos_alloc_failures, base.census.chaos_alloc_failures);
+    EXPECT_EQ(other.outputs, base.outputs) << "threads=" << threads;
+    EXPECT_EQ(census_key(other.census), census_key(base.census)) << "threads=" << threads;
+  }
+}
+
+// The chaos soak: 32 seeds of 48 sessions x 400 samples with all five
+// classes armed, each seed at threads {1,2,4,8}.  A single seed may skip
+// a class; over the soak every class must fire.
+TEST(ChaosDeterminism, SoakOfAllFiveClassesIsLosslessAndThreadInvariant) {
+  std::array<std::uint64_t, kChaosClassCount> fired{};
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    ChaosOptions copt;
+    copt.seed = seed;
+    copt.disconnect_per_round = 1u << 7;
+    copt.storm_len_rounds = 6;
+    const ChaosRun base = run_chaos_fixture(1, copt, 48, 400);
+    for (unsigned threads : {2u, 4u, 8u}) {
+      const ChaosRun other = run_chaos_fixture(threads, copt, 48, 400);
+      EXPECT_EQ(other.outputs, base.outputs) << "seed " << seed << " threads=" << threads;
+      EXPECT_EQ(census_key(other.census), census_key(base.census))
+          << "seed " << seed << " threads=" << threads;
+    }
+    const auto key = census_key(base.census);
+    for (std::size_t c = 0; c < fired.size(); ++c) fired[c] += key[c];
+  }
+  for (std::size_t c = 0; c < fired.size(); ++c) {
+    EXPECT_GT(fired[c], 0u) << chaos_class_name(static_cast<ChaosClass>(c))
+                            << " never fired";
   }
 }
 
 // --- snapshot / restore --------------------------------------------------
 
 TEST(Snapshot, RoundTripContinuesBitIdentically) {
-  ServiceOptions opt = small_service();
+  constexpr std::size_t kSessions = std::size(kRatioTable);  // all 8 ratio pairs
+  ServiceOptions opt = small_service(kSessions);
   opt.input_ring = 128;
   opt.output_ring = 128;
   opt.work_quantum = 32;
 
-  const auto stim_a = dsp::make_noise_stimulus(200, 21);
-  const auto stim_b = dsp::make_noise_stimulus(200, 22);
+  std::vector<std::vector<StereoSample>> stim;
+  for (std::size_t i = 0; i < kSessions; ++i)
+    stim.push_back(dsp::make_noise_stimulus(200, 21 + i));
 
-  // Golden: run halfway, snapshot mid-stream (rings non-empty), finish.
+  // Run halfway: open every ratio pair, push half of each stimulus and
+  // step twice, leaving the rings non-empty for the snapshot.
+  const auto run_to_snapshot = [&](SrcService& s) {
+    std::vector<SessionId> ids;
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      ids.push_back(s.try_open({kRatioTable[i][0], kRatioTable[i][1]}).id);
+      EXPECT_EQ(s.push(ids[i], stim[i].data(), 100), 100u);
+    }
+    s.step();
+    s.step();
+    return ids;
+  };
   SrcService golden(opt);
-  const SessionId a = golden.open({44'100, 48'000});
-  const SessionId b = golden.open({48'000, 44'100});
-  ASSERT_EQ(golden.push(a, stim_a.data(), 100), 100u);
-  ASSERT_EQ(golden.push(b, stim_b.data(), 100), 100u);
-  golden.step();
-  golden.step();
+  const std::vector<SessionId> ids = run_to_snapshot(golden);
   const std::string image = snapshot_service(golden);
   ASSERT_GT(image.size(), 32u);
   EXPECT_EQ(golden.resilience_stats().snapshot_saves, 1u);
 
-  const auto finish = [&](SrcService& s, std::vector<StereoSample>* out_a,
-                          std::vector<StereoSample>* out_b) {
+  // The image is a pure function of the workload: the same run at four
+  // lanes snapshots to the same bytes.
+  {
+    ServiceOptions opt4 = opt;
+    opt4.threads = 4;
+    SrcService other(opt4);
+    (void)run_to_snapshot(other);
+    EXPECT_EQ(snapshot_service(other), image) << "image differs at threads=4";
+  }
+
+  const auto finish = [&](SrcService& s, std::vector<std::vector<StereoSample>>& outs) {
+    outs.assign(kSessions, {});
     std::vector<StereoSample> buf(256);
-    std::size_t fed_a = 100, fed_b = 100;
+    std::vector<std::size_t> fed(kSessions, 100);
     bool progress = true;
     while (progress) {
       progress = false;
-      if (fed_a < 200) {
-        fed_a += s.push(a, stim_a.data() + fed_a, 200 - fed_a);
-        progress = true;
-      }
-      if (fed_b < 200) {
-        fed_b += s.push(b, stim_b.data() + fed_b, 200 - fed_b);
-        progress = true;
+      for (std::size_t i = 0; i < kSessions; ++i) {
+        if (fed[i] < 200) {
+          fed[i] += s.push(ids[i], stim[i].data() + fed[i], 200 - fed[i]);
+          progress = true;
+        }
       }
       if (s.step() > 0) progress = true;
-      std::size_t got;
-      while ((got = s.pull(a, buf.data(), buf.size())) > 0) {
-        out_a->insert(out_a->end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(got));
-        progress = true;
-      }
-      while ((got = s.pull(b, buf.data(), buf.size())) > 0) {
-        out_b->insert(out_b->end(), buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(got));
-        progress = true;
+      for (std::size_t i = 0; i < kSessions; ++i) {
+        std::size_t got;
+        while ((got = s.pull(ids[i], buf.data(), buf.size())) > 0) {
+          outs[i].insert(outs[i].end(), buf.begin(),
+                         buf.begin() + static_cast<std::ptrdiff_t>(got));
+          progress = true;
+        }
       }
     }
   };
-  std::vector<StereoSample> gold_a, gold_b;
-  finish(golden, &gold_a, &gold_b);
+  std::vector<std::vector<StereoSample>> gold;
+  finish(golden, gold);
 
   // Restore at a different lane count and drive the identical schedule.
   ServiceOptions opt2 = opt;
@@ -459,25 +589,24 @@ TEST(Snapshot, RoundTripContinuesBitIdentically) {
   std::string err;
   ASSERT_TRUE(restore_service(image, restored, &err)) << err;
   EXPECT_EQ(restored.resilience_stats().snapshot_restores, 1u);
-  EXPECT_EQ(restored.phase(a), SessionPhase::kOpen);
-  std::vector<StereoSample> cont_a, cont_b;
-  finish(restored, &cont_a, &cont_b);
+  EXPECT_EQ(restored.phase(ids[0]), SessionPhase::kOpen);
+  std::vector<std::vector<StereoSample>> cont;
+  finish(restored, cont);
 
-  ASSERT_EQ(cont_a.size(), gold_a.size());
-  ASSERT_EQ(cont_b.size(), gold_b.size());
-  EXPECT_EQ(std::memcmp(cont_a.data(), gold_a.data(),
-                        gold_a.size() * sizeof(StereoSample)), 0);
-  EXPECT_EQ(std::memcmp(cont_b.data(), gold_b.data(),
-                        gold_b.size() * sizeof(StereoSample)), 0);
-  EXPECT_EQ(restored.stats(a)->output_hash, golden.stats(a)->output_hash);
-  EXPECT_EQ(restored.stats(b)->output_hash, golden.stats(b)->output_hash);
-  EXPECT_EQ(restored.stats(a)->accepted, golden.stats(a)->accepted);
-  EXPECT_EQ(restored.stats(b)->converted_in, golden.stats(b)->converted_in);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    ASSERT_EQ(cont[i].size(), gold[i].size()) << "session " << i;
+    EXPECT_EQ(std::memcmp(cont[i].data(), gold[i].data(),
+                          gold[i].size() * sizeof(StereoSample)), 0)
+        << "session " << i;
+    EXPECT_EQ(restored.stats(ids[i])->output_hash, golden.stats(ids[i])->output_hash);
+    EXPECT_EQ(restored.stats(ids[i])->accepted, golden.stats(ids[i])->accepted);
+    EXPECT_EQ(restored.stats(ids[i])->converted_in, golden.stats(ids[i])->converted_in);
+  }
 }
 
 TEST(Snapshot, CorruptImagesAreRejectedWithDiagnostics) {
   SrcService source(small_service());
-  const SessionId id = source.open({48'000, 48'000});
+  const SessionId id = source.try_open({48'000, 48'000}).id;
   const auto stim = dsp::make_noise_stimulus(50, 1);
   (void)source.push(id, stim.data(), stim.size());
   source.step();
@@ -489,7 +618,7 @@ TEST(Snapshot, CorruptImagesAreRejectedWithDiagnostics) {
     EXPECT_FALSE(restore_service(img, victim, &err)) << what;
     EXPECT_FALSE(err.empty()) << what;
     // The failed restore left the service fresh and usable.
-    EXPECT_TRUE(victim.open({48'000, 48'000}).valid()) << what;
+    EXPECT_TRUE(victim.try_open({48'000, 48'000}).id.valid()) << what;
   };
   expect_rejected(image.substr(0, 7), "shorter than the magic");
   expect_rejected(image.substr(0, 20), "header cut short");
@@ -506,11 +635,11 @@ TEST(Snapshot, CorruptImagesAreRejectedWithDiagnostics) {
 
 TEST(Snapshot, RestoreRequiresFreshService) {
   SrcService source(small_service());
-  (void)source.open({48'000, 48'000});
+  (void)source.try_open({48'000, 48'000}).id;
   const std::string image = snapshot_service(source);
 
   SrcService used(small_service());
-  (void)used.open({44'100, 48'000});
+  (void)used.try_open({44'100, 48'000}).id;
   std::string err;
   EXPECT_FALSE(restore_service(image, used, &err));
   EXPECT_FALSE(err.empty());
@@ -533,7 +662,7 @@ TEST(ResilienceObs, CensusLandsInRegistryAndLedger) {
   ServiceOptions opt = small_service(2);
   opt.idle_timeout_steps = 1;
   SrcService service(opt);
-  const SessionId id = service.open({48'000, 48'000});
+  const SessionId id = service.try_open({48'000, 48'000}).id;
   (void)id;
   for (int i = 0; i < 4; ++i) service.step();     // idle-evict it
   (void)service.try_open({0, 48'000});            // one rate rejection

@@ -2,32 +2,11 @@
 // across a ratio table (the four paper pairs plus staged ratios), pushes
 // seeded noise in chunks, steps the scheduler, pulls converted audio,
 // closes everything, and verifies the service's zero-loss contract.
+// Exit status is non-zero on any violation.
 //
-// `--check` runs the soak acceptance gate: >= 1000 sessions over >= 8
-// ratios, the thread sweep {1,2,4,8}, asserting that (a) no sample is
-// dropped anywhere (accepted == converted == produced == pulled after
-// drain), (b) every session's output stream hash is bit-identical across
-// all thread counts, and (c) the round-robin starvation streak stays
-// within the rotation bound.  Failures name the gate, the offending
-// session and the thread count.  Exit status is non-zero on any
-// violation.
-//
-// `--chaos SEED` runs the resilience gate at one seed: a ChaosPlan
-// injects lane stalls, mid-stream disconnects, malformed/oversized
-// pushes, ring-full storms and allocation failures, all as pure
-// functions of the seed — then the thread sweep {1,2,4,8} asserts the
-// conservation laws hold for every surviving session, every survivor's
-// output hash is bit-identical, and the fault census itself is
-// identical across thread counts.  `--chaos-soak N` repeats for N
-// consecutive seeds and additionally requires every fault class to have
-// fired at least once over the soak.
-//
-// `--snapshot-roundtrip` checkpoints a mid-stream 8-ratio run through
-// the crash-consistent snapshot envelope, restores into a fresh service
-// at a different thread count, and asserts the continuation is
-// byte-identical to the uninterrupted run — plus that the image itself
-// is byte-identical across thread counts and that truncated/bit-flipped
-// images are rejected with a diagnostic instead of a crash.
+// The service's soak gates live in ctest: the 1000-session thread-sweep
+// soak in tests/test_serve.cpp, the seeded chaos soak and the snapshot
+// round-trip in tests/test_resilience.cpp.
 //
 // `--ledger FILE` / `--report FILE` dump the service's obs artifacts
 // (serve.ratio / serve.resilience / serve.run ledger entries, serve.*
@@ -44,19 +23,11 @@
 
 #include "dsp/stimulus.hpp"
 #include "obs/session.hpp"
-#include "serve/chaos.hpp"
-#include "serve/resilience.hpp"
 #include "serve/src_service.hpp"
 
 namespace {
 
 using scflow::dsp::StereoSample;
-using scflow::serve::AdmitResult;
-using scflow::serve::AdmitStatus;
-using scflow::serve::ChaosClass;
-using scflow::serve::ChaosOptions;
-using scflow::serve::ChaosPlan;
-using scflow::serve::ResilienceStats;
 using scflow::serve::ServiceOptions;
 using scflow::serve::SessionId;
 using scflow::serve::SessionStats;
@@ -68,19 +39,8 @@ constexpr std::uint32_t kRatioTable[][2] = {
 };
 constexpr std::size_t kRatioCount = std::size(kRatioTable);
 
-struct SessionResult {
-  std::uint32_t fs_in = 0;
-  std::uint32_t fs_out = 0;
-  std::uint64_t output_hash = 0;
-  std::uint64_t produced = 0;
-  std::uint64_t pulled = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t converted_in = 0;
-  std::uint32_t starve_streak_max = 0;
-};
-
 struct WorkloadResult {
-  std::vector<SessionResult> sessions;
+  std::size_t sessions = 0;
   std::uint64_t wall_ns = 0;
   std::uint64_t samples_in = 0;
   std::uint32_t starve_streak_max = 0;
@@ -90,12 +50,10 @@ struct WorkloadResult {
 };
 
 // Runs the seeded workload with a FIXED push/step/pull interleaving —
-// identical for every thread count, which is what makes the cross-thread
-// hash comparison meaningful.
+// identical for every thread count, so per-session hashes are too.
 WorkloadResult run_workload(std::size_t n_sessions, std::size_t n_samples,
                             unsigned threads, std::uint64_t seed,
-                            std::size_t step_cap, scflow::obs::Session* obs_out,
-                            const char* run_label) {
+                            std::size_t step_cap, scflow::obs::Session* obs_out) {
   ServiceOptions opt;
   opt.threads = threads;
   opt.max_sessions = n_sessions;
@@ -109,9 +67,9 @@ WorkloadResult run_workload(std::size_t n_sessions, std::size_t n_samples,
   std::vector<std::vector<StereoSample>> stimuli(n_sessions);
   for (std::size_t i = 0; i < n_sessions; ++i) {
     const auto& ratio = kRatioTable[i % kRatioCount];
-    ids[i] = service.open({ratio[0], ratio[1]});
+    ids[i] = service.try_open({ratio[0], ratio[1]}).id;
     if (!ids[i].valid()) {
-      std::fprintf(stderr, "error: open() failed for session %zu\n", i);
+      std::fprintf(stderr, "error: try_open() failed for session %zu\n", i);
       std::exit(1);
     }
     stimuli[i] = scflow::dsp::make_noise_stimulus(n_samples, seed + i);
@@ -155,636 +113,17 @@ WorkloadResult run_workload(std::size_t n_sessions, std::size_t n_samples,
       result.drained_clean = false;
       continue;
     }
-    SessionResult r;
-    r.fs_in = kRatioTable[i % kRatioCount][0];
-    r.fs_out = kRatioTable[i % kRatioCount][1];
-    r.output_hash = stats->output_hash;
-    r.produced = stats->produced;
-    r.pulled = pulled[i];
-    r.accepted = stats->accepted;
-    r.converted_in = stats->converted_in;
-    r.starve_streak_max = stats->starve_streak_max;
+    ++result.sessions;
     // Zero-loss contract for this run.
-    if (r.accepted != n_samples || r.converted_in != n_samples ||
-        r.produced != stats->pulled || r.pulled != stats->pulled) {
+    if (stats->accepted != n_samples || stats->converted_in != n_samples ||
+        stats->produced != stats->pulled || pulled[i] != stats->pulled) {
       result.drained_clean = false;
     }
-    result.sessions.push_back(r);
     service.close(ids[i]);
   }
   service.step();  // reclaim, folding the closed sessions into the aggregates
-  if (obs_out != nullptr) service.record_into(*obs_out, run_label);
+  if (obs_out != nullptr) service.record_into(*obs_out, "soak");
   return result;
-}
-
-// Fail-fast reporting: name the violated gate, the offending session and
-// the thread count, so a red soak pinpoints itself.
-void report_zero_loss_failure(const WorkloadResult& r, std::size_t n_samples,
-                              unsigned threads) {
-  for (std::size_t i = 0; i < r.sessions.size(); ++i) {
-    const SessionResult& s = r.sessions[i];
-    if (s.accepted != n_samples || s.converted_in != n_samples ||
-        s.produced != s.pulled) {
-      std::printf(
-          "FAIL[zero-loss]: threads=%u session=%zu (%u->%u) accepted=%llu "
-          "converted=%llu produced=%llu pulled=%llu (expected %zu end-to-end)\n",
-          threads, i, s.fs_in, s.fs_out,
-          static_cast<unsigned long long>(s.accepted),
-          static_cast<unsigned long long>(s.converted_in),
-          static_cast<unsigned long long>(s.produced),
-          static_cast<unsigned long long>(s.pulled), n_samples);
-      return;
-    }
-  }
-  std::printf("FAIL[zero-loss]: threads=%u (session vanished before drain)\n",
-              threads);
-}
-
-int run_check(std::size_t n_sessions, std::size_t n_samples, std::uint64_t seed) {
-  // The soak gate: >= 1000 sessions across all 8 ratios.
-  if (n_sessions < 1'000) n_sessions = 1'000;
-  const std::size_t step_cap = 128;
-  const std::uint32_t rotation_bound =
-      static_cast<std::uint32_t>((n_sessions + step_cap - 1) / step_cap) + 1;
-
-  int failures = 0;
-  std::vector<SessionResult> baseline;
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    const WorkloadResult r =
-        run_workload(n_sessions, n_samples, threads, seed, step_cap, nullptr,
-                     "check");
-    std::printf(
-        "threads=%u: %zu sessions, %llu samples in, wall %.1f ms, "
-        "steps %llu, job p99 %.1f us, starve max %u\n",
-        threads, r.sessions.size(),
-        static_cast<unsigned long long>(r.samples_in),
-        static_cast<double>(r.wall_ns) / 1e6,
-        static_cast<unsigned long long>(r.steps),
-        static_cast<double>(r.job_ns_p99) / 1e3, r.starve_streak_max);
-    if (!r.drained_clean || r.sessions.size() != n_sessions) {
-      report_zero_loss_failure(r, n_samples, threads);
-      ++failures;
-    }
-    if (r.starve_streak_max > rotation_bound) {
-      std::size_t worst = 0;
-      for (std::size_t i = 0; i < r.sessions.size(); ++i) {
-        if (r.sessions[i].starve_streak_max > r.sessions[worst].starve_streak_max)
-          worst = i;
-      }
-      std::printf(
-          "FAIL[starvation]: threads=%u session=%zu streak %u exceeds "
-          "rotation bound %u\n",
-          threads, worst,
-          r.sessions.empty() ? r.starve_streak_max
-                             : r.sessions[worst].starve_streak_max,
-          rotation_bound);
-      ++failures;
-    }
-    if (baseline.empty()) {
-      baseline = r.sessions;
-      continue;
-    }
-    for (std::size_t i = 0; i < baseline.size() && i < r.sessions.size(); ++i) {
-      if (r.sessions[i].output_hash != baseline[i].output_hash ||
-          r.sessions[i].produced != baseline[i].produced) {
-        std::printf(
-            "FAIL[hash-identity]: threads=%u session=%zu (%u->%u) hash "
-            "%016llx vs baseline %016llx (produced %llu vs %llu)\n",
-            threads, i, r.sessions[i].fs_in, r.sessions[i].fs_out,
-            static_cast<unsigned long long>(r.sessions[i].output_hash),
-            static_cast<unsigned long long>(baseline[i].output_hash),
-            static_cast<unsigned long long>(r.sessions[i].produced),
-            static_cast<unsigned long long>(baseline[i].produced));
-        ++failures;
-        break;  // first offender identifies the divergence
-      }
-    }
-  }
-  std::printf("serve soak: %s\n", failures == 0 ? "PASS" : "FAIL");
-  return failures == 0 ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
-// Chaos gate.
-
-/// Everything a chaos run produces that must be scheduling-invariant.
-struct ChaosOutcome {
-  std::vector<SessionResult> survivors;  ///< sessions not disconnected
-  std::vector<std::size_t> survivor_index;
-  ResilienceStats census;
-  std::uint64_t steps = 0;
-  bool conservation_ok = true;
-  bool completed = true;  ///< false if the round cap tripped (hang guard)
-  std::string first_violation;
-};
-
-ChaosOptions chaos_options_for(std::uint64_t seed) {
-  ChaosOptions copt;
-  copt.seed = seed;
-  // Tuned for ~48 sessions x ~30 driver rounds: several fires per class
-  // per soak without drowning the workload.
-  copt.stall_per_dispatch = 1u << 9;
-  copt.disconnect_per_round = 1u << 7;
-  copt.oversized_per_round = 1u << 8;
-  copt.storm_per_round = 1u << 7;
-  copt.alloc_fail_per_open = 1u << 12;
-  copt.storm_len_rounds = 6;
-  copt.stall_budget_ns = 200'000;
-  return copt;
-}
-
-// Seeded chaos workload with a FIXED driver schedule: every fault is a
-// pure function of (seed, round, session) or (seed, step, slot), so two
-// runs at different lane counts inject the identical fault sequence.
-ChaosOutcome run_chaos_workload(std::uint64_t seed, unsigned threads,
-                                std::size_t n_sessions, std::size_t n_samples,
-                                scflow::obs::Session* obs_out) {
-  const ChaosOptions copt = chaos_options_for(seed);
-  const ChaosPlan plan(copt);
-
-  ServiceOptions opt;
-  opt.threads = threads;
-  opt.max_sessions = n_sessions;
-  opt.input_ring = 128;
-  opt.output_ring = 512;
-  opt.work_quantum = 64;
-  SrcService service(opt);
-  service.set_chaos(&plan);
-
-  ChaosOutcome outcome;
-  std::vector<SessionId> ids(n_sessions);
-  std::vector<std::vector<StereoSample>> stimuli(n_sessions);
-  for (std::size_t i = 0; i < n_sessions; ++i) {
-    const auto& ratio = kRatioTable[i % kRatioCount];
-    AdmitResult r{};
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      r = service.try_open({ratio[0], ratio[1]});
-      if (r.status != AdmitStatus::kAllocFailed) break;  // chaos said no; retry
-    }
-    if (r.status != AdmitStatus::kAdmitted) {
-      outcome.conservation_ok = false;
-      outcome.first_violation = "session " + std::to_string(i) +
-                                " not admitted after retries: " +
-                                scflow::serve::admit_status_name(r.status);
-      return outcome;
-    }
-    ids[i] = r.id;
-    stimuli[i] = scflow::dsp::make_noise_stimulus(n_samples, seed * 1'000 + i);
-  }
-
-  constexpr std::size_t kChunk = 64;
-  constexpr std::uint64_t kRoundCap = 100'000;  // hang guard, far above need
-  std::vector<std::size_t> fed(n_sessions, 0);
-  std::vector<std::uint64_t> pulled(n_sessions, 0);
-  std::vector<bool> disconnected(n_sessions, false);
-  std::vector<std::uint64_t> storm_until(n_sessions, 0);
-  std::vector<StereoSample> out(512);
-
-  std::uint64_t round = 0;
-  bool progress = true;
-  while (progress && round < kRoundCap) {
-    ++round;
-    progress = false;
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-      if (disconnected[i]) continue;
-      const auto si = static_cast<std::uint32_t>(i);
-      if (plan.disconnect(round, si)) {
-        // Mid-stream client disconnect: close without draining.
-        service.close(ids[i]);
-        service.note_chaos(ChaosClass::kDisconnect);
-        disconnected[i] = true;
-        progress = true;
-        continue;
-      }
-      if (plan.ring_storm_start(round, si) && storm_until[i] <= round) {
-        // The client stops pulling; backpressure must hold the line.
-        storm_until[i] = round + copt.storm_len_rounds;
-        service.note_chaos(ChaosClass::kRingStorm);
-      }
-      if (fed[i] < n_samples) {
-        std::size_t offer = std::min(kChunk, n_samples - fed[i]);
-        if (plan.oversized_push(round, si)) {
-          // Malformed (null buffer) then oversized (the entire remainder,
-          // typically far beyond ring capacity) — both must be refused
-          // or clipped without losing accounting.
-          (void)service.push(ids[i], nullptr, 3);
-          offer = n_samples - fed[i];
-          service.note_chaos(ChaosClass::kOversizedPush);
-        }
-        fed[i] += service.push(ids[i], stimuli[i].data() + fed[i], offer);
-        if (fed[i] < n_samples) progress = true;
-      }
-    }
-    if (service.step() > 0) progress = true;
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-      if (disconnected[i]) continue;
-      if (storm_until[i] > round) {
-        progress = true;  // storm in flight: keep rounds ticking
-        continue;
-      }
-      std::size_t got;
-      while ((got = service.pull(ids[i], out.data(), out.size())) > 0) {
-        pulled[i] += got;
-        progress = true;
-      }
-    }
-  }
-  outcome.completed = round < kRoundCap;
-  if (!outcome.completed) {
-    outcome.conservation_ok = false;
-    outcome.first_violation = "round cap tripped (possible livelock)";
-  }
-
-  for (std::size_t i = 0; i < n_sessions; ++i) {
-    if (disconnected[i]) continue;
-    const SessionStats* stats = service.stats(ids[i]);
-    if (stats == nullptr) {
-      outcome.conservation_ok = false;
-      outcome.first_violation = "survivor " + std::to_string(i) + " lost its slot";
-      continue;
-    }
-    SessionResult r;
-    r.fs_in = kRatioTable[i % kRatioCount][0];
-    r.fs_out = kRatioTable[i % kRatioCount][1];
-    r.output_hash = stats->output_hash;
-    r.produced = stats->produced;
-    r.pulled = pulled[i];
-    r.accepted = stats->accepted;
-    r.converted_in = stats->converted_in;
-    r.starve_streak_max = stats->starve_streak_max;
-    // Conservation under fire: everything accepted was converted (rings
-    // drained), everything produced was pulled.  Chaos may REFUSE
-    // samples (counted in push_rejected) but may never lose one.
-    if (r.accepted != n_samples || r.converted_in != n_samples ||
-        r.produced != stats->pulled || r.pulled != stats->pulled) {
-      outcome.conservation_ok = false;
-      if (outcome.first_violation.empty()) {
-        outcome.first_violation =
-            "survivor " + std::to_string(i) + " accepted=" +
-            std::to_string(r.accepted) + " converted=" +
-            std::to_string(r.converted_in) + " produced=" +
-            std::to_string(r.produced) + " pulled=" + std::to_string(r.pulled);
-      }
-    }
-    outcome.survivors.push_back(r);
-    outcome.survivor_index.push_back(i);
-    service.close(ids[i]);
-  }
-  service.step();
-  outcome.census = service.resilience_stats();
-  outcome.steps = service.steps();
-  if (obs_out != nullptr) service.record_into(*obs_out, "chaos");
-  return outcome;
-}
-
-bool census_equal(const ResilienceStats& a, const ResilienceStats& b) {
-  return a.chaos_stalls == b.chaos_stalls &&
-         a.chaos_disconnects == b.chaos_disconnects &&
-         a.chaos_oversized_pushes == b.chaos_oversized_pushes &&
-         a.chaos_ring_storms == b.chaos_ring_storms &&
-         a.chaos_alloc_failures == b.chaos_alloc_failures &&
-         a.evict_idle == b.evict_idle && a.evict_lifetime == b.evict_lifetime &&
-         a.admit_overloaded == b.admit_overloaded &&
-         a.admit_rate_unsupported == b.admit_rate_unsupported;
-}
-
-/// One seed across the thread sweep.  Returns failures; accumulates the
-/// fault census of the threads=1 run into @p class_totals.
-int run_chaos_seed(std::uint64_t seed, std::size_t n_sessions,
-                   std::size_t n_samples, std::uint64_t class_totals[5],
-                   bool verbose, scflow::obs::Session* obs_out) {
-  int failures = 0;
-  ChaosOutcome baseline;
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    ChaosOutcome o = run_chaos_workload(seed, threads, n_sessions, n_samples,
-                                        threads == 8 ? obs_out : nullptr);
-    if (!o.conservation_ok) {
-      std::printf("FAIL[chaos-conservation]: seed=%llu threads=%u: %s\n",
-                  static_cast<unsigned long long>(seed), threads,
-                  o.first_violation.c_str());
-      ++failures;
-    }
-    if (threads == 1) {
-      baseline = std::move(o);
-      continue;
-    }
-    if (o.survivors.size() != baseline.survivors.size()) {
-      std::printf(
-          "FAIL[chaos-identity]: seed=%llu threads=%u survivor count %zu vs "
-          "baseline %zu\n",
-          static_cast<unsigned long long>(seed), threads, o.survivors.size(),
-          baseline.survivors.size());
-      ++failures;
-      continue;
-    }
-    for (std::size_t k = 0; k < o.survivors.size(); ++k) {
-      const SessionResult& a = baseline.survivors[k];
-      const SessionResult& b = o.survivors[k];
-      if (a.output_hash != b.output_hash || a.produced != b.produced ||
-          a.accepted != b.accepted || a.converted_in != b.converted_in) {
-        std::printf(
-            "FAIL[chaos-identity]: seed=%llu threads=%u session=%zu (%u->%u) "
-            "hash %016llx vs baseline %016llx\n",
-            static_cast<unsigned long long>(seed), threads,
-            o.survivor_index[k], b.fs_in, b.fs_out,
-            static_cast<unsigned long long>(b.output_hash),
-            static_cast<unsigned long long>(a.output_hash));
-        ++failures;
-        break;
-      }
-    }
-    if (!census_equal(o.census, baseline.census)) {
-      std::printf(
-          "FAIL[chaos-census]: seed=%llu threads=%u fault census diverged "
-          "from threads=1\n",
-          static_cast<unsigned long long>(seed), threads);
-      ++failures;
-    }
-  }
-  class_totals[0] += baseline.census.chaos_stalls;
-  class_totals[1] += baseline.census.chaos_disconnects;
-  class_totals[2] += baseline.census.chaos_oversized_pushes;
-  class_totals[3] += baseline.census.chaos_ring_storms;
-  class_totals[4] += baseline.census.chaos_alloc_failures;
-  if (verbose) {
-    std::printf(
-        "seed=%llu: %zu/%zu survivors, census stalls=%llu disconnects=%llu "
-        "oversized=%llu storms=%llu alloc_fail=%llu%s\n",
-        static_cast<unsigned long long>(seed), baseline.survivors.size(),
-        n_sessions,
-        static_cast<unsigned long long>(baseline.census.chaos_stalls),
-        static_cast<unsigned long long>(baseline.census.chaos_disconnects),
-        static_cast<unsigned long long>(baseline.census.chaos_oversized_pushes),
-        static_cast<unsigned long long>(baseline.census.chaos_ring_storms),
-        static_cast<unsigned long long>(baseline.census.chaos_alloc_failures),
-        failures == 0 ? "" : "  <-- FAIL");
-  }
-  return failures;
-}
-
-int run_chaos(std::uint64_t base_seed, std::size_t n_seeds,
-              std::size_t n_sessions, std::size_t n_samples,
-              const std::string& ledger_path, const std::string& report_path,
-              const char* tool_name) {
-  if (n_sessions == 0) n_sessions = 48;
-  if (n_samples == 0) n_samples = 400;
-  std::uint64_t class_totals[5] = {};
-  int failures = 0;
-  scflow::obs::Session obs;
-  const bool telemetry = !ledger_path.empty() || !report_path.empty();
-  for (std::size_t k = 0; k < n_seeds; ++k) {
-    // Telemetry from the final seed's run — the census is
-    // thread-invariant, so any one run is representative.
-    scflow::obs::Session* obs_out =
-        telemetry && k + 1 == n_seeds ? &obs : nullptr;
-    failures += run_chaos_seed(base_seed + k, n_sessions, n_samples,
-                               class_totals, /*verbose=*/true, obs_out);
-  }
-  static const char* kClassNames[5] = {"lane_stall", "disconnect",
-                                       "oversized_push", "ring_storm",
-                                       "alloc_fail"};
-  std::printf("chaos coverage over %zu seed(s):", n_seeds);
-  for (int c = 0; c < 5; ++c) {
-    std::printf(" %s=%llu", kClassNames[c],
-                static_cast<unsigned long long>(class_totals[c]));
-  }
-  std::printf("\n");
-  // Coverage is a soak property: a single seed may legitimately skip a
-  // class, but over a multi-seed soak every class must fire.
-  if (n_seeds > 1) {
-    for (int c = 0; c < 5; ++c) {
-      if (class_totals[c] == 0) {
-        std::printf("FAIL[chaos-coverage]: fault class %s never fired\n",
-                    kClassNames[c]);
-        ++failures;
-      }
-    }
-  }
-  if (telemetry) {
-    obs.ledger.meta = scflow::obs::collect_run_metadata(tool_name);
-    if (!obs.dump(report_path, "", ledger_path)) {
-      std::fprintf(stderr, "error: cannot write telemetry artifacts\n");
-      return 1;
-    }
-    if (!ledger_path.empty()) std::printf("chaos ledger: %s\n", ledger_path.c_str());
-  }
-  std::printf("chaos gate: %s\n", failures == 0 ? "PASS" : "FAIL");
-  return failures == 0 ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot round-trip gate.
-
-/// Driver state for the resumable snapshot workload — snapshotting the
-/// service is only half the story; the driver replays its own state
-/// (feed cursors, collected streams) from the same round.
-struct SnapDriverState {
-  std::vector<std::size_t> fed;
-  std::vector<std::vector<StereoSample>> streams;  ///< everything pulled so far
-  std::uint64_t round = 0;
-};
-
-/// Runs the fixed 8-ratio workload from @p state until done (or until
-/// @p pause_round, exclusive, if non-zero).  Returns false on livelock.
-bool run_snapshot_rounds(SrcService& service, const std::vector<SessionId>& ids,
-                         const std::vector<std::vector<StereoSample>>& stimuli,
-                         SnapDriverState& state, std::uint64_t pause_round) {
-  const std::size_t n = ids.size();
-  const std::size_t n_samples = stimuli[0].size();
-  constexpr std::size_t kChunk = 48;
-  std::vector<StereoSample> out(256);
-  bool progress = true;
-  while (progress) {
-    if (pause_round != 0 && state.round >= pause_round) return true;
-    ++state.round;
-    progress = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (state.fed[i] < n_samples) {
-        const std::size_t offer = std::min(kChunk, n_samples - state.fed[i]);
-        state.fed[i] += service.push(ids[i], stimuli[i].data() + state.fed[i], offer);
-        if (state.fed[i] < n_samples) progress = true;
-      }
-    }
-    if (service.step() > 0) progress = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t got;
-      while ((got = service.pull(ids[i], out.data(), out.size())) > 0) {
-        state.streams[i].insert(state.streams[i].end(), out.begin(),
-                                out.begin() + static_cast<std::ptrdiff_t>(got));
-        progress = true;
-      }
-    }
-    if (state.round > 1'000'000) return false;  // hang guard
-  }
-  return true;
-}
-
-int run_snapshot_roundtrip(std::uint64_t seed) {
-  constexpr std::size_t kSessions = kRatioCount;  // all 8 ratio pairs
-  constexpr std::size_t kSamples = 600;
-  constexpr std::uint64_t kPauseRound = 5;  // mid-stream, converters warm
-
-  ServiceOptions opt;
-  opt.max_sessions = kSessions;
-  opt.input_ring = 128;
-  opt.output_ring = 512;
-  opt.work_quantum = 64;
-
-  std::vector<std::vector<StereoSample>> stimuli(kSessions);
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    stimuli[i] = scflow::dsp::make_noise_stimulus(kSamples, seed * 77 + i);
-  }
-
-  // A run-to-round-R factory: builds a service, opens the 8 sessions,
-  // advances the fixed driver schedule to the pause round.
-  const auto run_to_pause = [&](unsigned threads, SrcService& service,
-                                std::vector<SessionId>& ids,
-                                SnapDriverState& state) {
-    ids.resize(kSessions);
-    state.fed.assign(kSessions, 0);
-    state.streams.assign(kSessions, {});
-    state.round = 0;
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      ids[i] = service.open({kRatioTable[i][0], kRatioTable[i][1]});
-      if (!ids[i].valid()) return false;
-    }
-    (void)threads;
-    return run_snapshot_rounds(service, ids, stimuli, state, kPauseRound);
-  };
-
-  int failures = 0;
-
-  // Golden: uninterrupted run at threads=1, paused only to take the
-  // reference snapshot, then driven to completion.
-  SrcService golden(opt);
-  std::vector<SessionId> golden_ids;
-  SnapDriverState golden_state;
-  if (!run_to_pause(1, golden, golden_ids, golden_state)) {
-    std::printf("FAIL[snapshot]: golden run stalled before the pause round\n");
-    return 1;
-  }
-  const SnapDriverState paused_state = golden_state;  // driver checkpoint
-  const std::string image = scflow::serve::snapshot_service(golden);
-  std::printf("snapshot image: %zu bytes at round %llu\n", image.size(),
-              static_cast<unsigned long long>(kPauseRound));
-  if (!run_snapshot_rounds(golden, golden_ids, stimuli, golden_state, 0)) {
-    std::printf("FAIL[snapshot]: golden continuation stalled\n");
-    return 1;
-  }
-
-  // Gate 1: the image is a pure function of the workload — a run at a
-  // different lane count pauses at the same round with a byte-identical
-  // snapshot.
-  {
-    ServiceOptions opt4 = opt;
-    opt4.threads = 4;
-    SrcService other(opt4);
-    std::vector<SessionId> other_ids;
-    SnapDriverState other_state;
-    if (!run_to_pause(4, other, other_ids, other_state)) {
-      std::printf("FAIL[snapshot]: threads=4 run stalled before the pause round\n");
-      ++failures;
-    } else {
-      const std::string image4 = scflow::serve::snapshot_service(other);
-      if (image4 != image) {
-        std::printf(
-            "FAIL[snapshot-identity]: image at threads=4 differs from "
-            "threads=1 (%zu vs %zu bytes)\n",
-            image4.size(), image.size());
-        ++failures;
-      } else {
-        std::printf("image thread-invariance: ok (threads 1 vs 4 identical)\n");
-      }
-    }
-  }
-
-  // Gate 2: restore into a fresh service at a DIFFERENT thread count and
-  // continue with the checkpointed driver state — the full per-session
-  // output streams must be sample-for-sample identical to the
-  // uninterrupted run, and the stats must agree.
-  {
-    ServiceOptions opt2 = opt;
-    opt2.threads = 2;
-    SrcService restored(opt2);
-    std::string err;
-    if (!scflow::serve::restore_service(image, restored, &err)) {
-      std::printf("FAIL[snapshot-restore]: %s\n", err.c_str());
-      ++failures;
-    } else {
-      SnapDriverState cont = paused_state;
-      if (!run_snapshot_rounds(restored, golden_ids, stimuli, cont, 0)) {
-        std::printf("FAIL[snapshot]: restored continuation stalled\n");
-        ++failures;
-      }
-      for (std::size_t i = 0; i < kSessions; ++i) {
-        if (cont.streams[i].size() != golden_state.streams[i].size() ||
-            std::memcmp(cont.streams[i].data(), golden_state.streams[i].data(),
-                        cont.streams[i].size() * sizeof(StereoSample)) != 0) {
-          std::printf(
-              "FAIL[snapshot-continuation]: session=%zu (%u->%u) restored "
-              "stream %zu samples vs golden %zu, or content differs\n",
-              i, kRatioTable[i][0], kRatioTable[i][1], cont.streams[i].size(),
-              golden_state.streams[i].size());
-          ++failures;
-          break;
-        }
-        const SessionStats* a = golden.stats(golden_ids[i]);
-        const SessionStats* b = restored.stats(golden_ids[i]);
-        if (a == nullptr || b == nullptr || a->output_hash != b->output_hash ||
-            a->produced != b->produced || a->converted_in != b->converted_in) {
-          std::printf(
-              "FAIL[snapshot-continuation]: session=%zu stats diverged after "
-              "restore\n",
-              i);
-          ++failures;
-          break;
-        }
-      }
-      if (failures == 0) {
-        std::printf(
-            "restore continuation: ok (8 ratio pairs byte-identical, "
-            "threads 1 -> 2)\n");
-      }
-    }
-  }
-
-  // Gate 3: corrupted images are rejected with a diagnostic, never a
-  // crash and never a half-restored service.
-  {
-    struct Corruption {
-      const char* name;
-      std::string img;
-    };
-    std::vector<Corruption> cases;
-    cases.push_back({"truncated-header", image.substr(0, 10)});
-    cases.push_back({"truncated-payload", image.substr(0, image.size() / 2)});
-    std::string flipped = image;
-    flipped[flipped.size() / 2] = static_cast<char>(flipped[flipped.size() / 2] ^ 0x40);
-    cases.push_back({"bit-flip", std::move(flipped)});
-    std::string bad_magic = image;
-    bad_magic[0] = 'X';
-    cases.push_back({"bad-magic", std::move(bad_magic)});
-    std::string trailing = image;
-    trailing += "extra";
-    cases.push_back({"trailing-bytes", std::move(trailing)});
-    for (const Corruption& c : cases) {
-      SrcService victim(opt);
-      std::string err;
-      if (scflow::serve::restore_service(c.img, victim, &err)) {
-        std::printf("FAIL[snapshot-corruption]: %s image was ACCEPTED\n", c.name);
-        ++failures;
-      } else if (err.empty()) {
-        std::printf("FAIL[snapshot-corruption]: %s rejected without diagnostic\n",
-                    c.name);
-        ++failures;
-      } else {
-        std::printf("corruption %-18s rejected: %s\n", c.name, err.c_str());
-      }
-    }
-  }
-
-  std::printf("snapshot round-trip: %s\n", failures == 0 ? "PASS" : "FAIL");
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -795,31 +134,13 @@ int main(int argc, char** argv) {
   unsigned threads = 4;
   std::uint64_t seed = 1;
   std::size_t step_cap = 0;
-  bool check = false;
-  bool chaos = false;
-  bool snapshot_roundtrip = false;
-  std::size_t chaos_seeds = 1;
-  std::size_t sessions_set = 0;
-  std::size_t samples_set = 0;
   std::string ledger_path;
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      chaos = true;
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--chaos-soak") == 0 && i + 1 < argc) {
-      chaos = true;
-      chaos_seeds = std::strtoul(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--snapshot-roundtrip") == 0) {
-      snapshot_roundtrip = true;
-    } else if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
       n_sessions = std::strtoul(argv[++i], nullptr, 10);
-      sessions_set = n_sessions;
     } else if (std::strcmp(argv[i], "--samples") == 0 && i + 1 < argc) {
       n_samples = std::strtoul(argv[++i], nullptr, 10);
-      samples_set = n_samples;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
@@ -832,29 +153,19 @@ int main(int argc, char** argv) {
       report_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--check] [--chaos SEED] [--chaos-soak N] "
-                   "[--snapshot-roundtrip] [--sessions N] [--samples N] "
-                   "[--threads N] [--seed S] [--step-cap N] "
-                   "[--ledger FILE] [--report FILE]\n",
+                   "usage: %s [--sessions N] [--samples N] [--threads N] "
+                   "[--seed S] [--step-cap N] [--ledger FILE] [--report FILE]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  if (snapshot_roundtrip) return run_snapshot_roundtrip(seed);
-  if (chaos) {
-    return run_chaos(seed, chaos_seeds, sessions_set, samples_set, ledger_path,
-                     report_path, argv[0]);
-  }
-  if (check) return run_check(n_sessions, n_samples, seed);
-
   scflow::obs::Session obs;
   const bool telemetry = !ledger_path.empty() || !report_path.empty();
-  const WorkloadResult r =
-      run_workload(n_sessions, n_samples, threads, seed, step_cap,
-                   telemetry ? &obs : nullptr, "soak");
+  const WorkloadResult r = run_workload(n_sessions, n_samples, threads, seed, step_cap,
+                                        telemetry ? &obs : nullptr);
   const double wall_s = static_cast<double>(r.wall_ns) / 1e9;
-  std::printf("sessions:            %zu (over %zu ratios)\n", r.sessions.size(),
+  std::printf("sessions:            %zu (over %zu ratios)\n", r.sessions,
               std::min(n_sessions, kRatioCount));
   std::printf("input samples:       %llu\n",
               static_cast<unsigned long long>(r.samples_in));
