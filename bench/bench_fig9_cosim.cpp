@@ -4,17 +4,12 @@
 // "VHDL testbench" and (b) co-simulated with the compiled SystemC-style
 // testbench.  The paper's finding: co-simulation is *slightly faster*,
 // because the testbench runs compiled and the synchronisation overhead is
-// smaller than the interpretation overhead it replaces.
-// `--backend compiled` swaps the gate DUTs onto the bit-parallel compiled
-// bytecode engine (hdlsim::CompiledSim).  It broadcasts the testbench
-// stimulus across 64 pattern lanes, so the comparable figure of merit is
-// pattern-cycle throughput: patt_cyc_per_s = cycles x patterns per second
-// (patterns = 64 compiled, 1 interpreted / RTL).
+// smaller than the interpretation overhead it replaces.  Every DUT runs
+// one stimulus per cycle on one thread (gate DUTs on the event-driven
+// GateSim); `--threads N` only sets the lane count of the batch sweeps.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <string>
+#include <memory>
 
 #include "bench_json_main.hpp"
 #include "cosim/bridge.hpp"
@@ -65,37 +60,12 @@ const nl::Netlist& gates_rtl() {
   return n;
 }
 
-hdlsim::Backend backend() {
-  const std::string& b = benchutil::requested_backend();
-  if (b == "compiled") return hdlsim::Backend::kCompiled;
-  if (b != "interpreted") {
-    std::fprintf(stderr, "error: unknown --backend '%s' (interpreted|compiled)\n", b.c_str());
-    std::exit(2);
-  }
-  return hdlsim::Backend::kInterpreted;
-}
-
-// Stimulus lanes a gate DUT simulates per cycle: the compiled engine
-// broadcasts over its 64 pattern lanes, the interpreter (and the RTL
-// model) carries one.
-double patterns_per_cycle(DutKind kind) {
-  return kind != DutKind::kRtl && backend() == hdlsim::Backend::kCompiled
-             ? static_cast<double>(hdlsim::CompiledSim::kLanes)
-             : 1.0;
-}
-
 std::unique_ptr<hdlsim::Dut> make_dut(DutKind kind) {
-  // Gate DUTs run on the lane count selected with --threads; the sweep is
-  // deterministic, so the counters below are identical for every value.
-  // --backend compiled selects the bytecode engine via the factory (the
-  // RTL DUT has no gate engine and ignores the flag).
-  hdlsim::GateSim::Options gate_opts;
-  gate_opts.threads = benchutil::requested_threads();
   std::unique_ptr<hdlsim::Dut> dut;
   switch (kind) {
     case DutKind::kRtl: dut = std::make_unique<hdlsim::RtlDut>(rtl_design()); break;
-    case DutKind::kGateBeh: dut = hdlsim::make_gate_dut(gates_beh(), gate_opts, backend()); break;
-    case DutKind::kGateRtl: dut = hdlsim::make_gate_dut(gates_rtl(), gate_opts, backend()); break;
+    case DutKind::kGateBeh: dut = std::make_unique<hdlsim::GateDut>(gates_beh()); break;
+    case DutKind::kGateRtl: dut = std::make_unique<hdlsim::GateDut>(gates_rtl()); break;
   }
   if (kind != DutKind::kRtl) {
     dut->set_input("scan_in", 0);
@@ -114,19 +84,6 @@ void report_counters(benchmark::State& state, const hdlsim::SimCounters& c) {
   state.counters["ss_allocs"] = static_cast<double>(c.steady_state_allocs);
 }
 
-// Lane count plus the per-worker sweep shards (multi-lane engines only) —
-// the JSON then shows how the deterministic partition distributed the
-// work, next to the totals it must sum back to.
-void report_workers(benchmark::State& state, const std::vector<hdlsim::WorkerShardStats>& ws) {
-  state.counters["threads"] = static_cast<double>(ws.empty() ? 1 : ws.size());
-  if (ws.size() <= 1) return;
-  for (std::size_t w = 0; w < ws.size(); ++w) {
-    const std::string p = "w" + std::to_string(w);
-    state.counters[p + "_evals"] = static_cast<double>(ws[w].evaluations);
-    state.counters[p + "_pushes"] = static_cast<double>(ws[w].dirty_pushes);
-  }
-}
-
 // DUT construction (netlist copy + simulator build) is setup, not
 // simulation: keep it outside the timed region so cyc_per_s measures the
 // engines, comparable across DUTs of very different construction cost.
@@ -134,7 +91,6 @@ void native_bench(benchmark::State& state, DutKind kind) {
   const auto prog = hdlsim::build_src_testbench(events(), dsp::SrcMode::k44_1To48);
   std::uint64_t cycles = 0, tb_instructions = 0;
   hdlsim::SimCounters last{};
-  std::vector<hdlsim::WorkerShardStats> workers;
   for (auto _ : state) {
     state.PauseTiming();
     auto dut = make_dut(kind);
@@ -144,22 +100,19 @@ void native_bench(benchmark::State& state, DutKind kind) {
     cycles += r.cycles;
     tb_instructions += r.instructions_executed;
     last = r.dut_counters;
-    workers = dut->worker_stats();
   }
   state.counters["cyc_per_s"] =
       benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  state.counters["patterns"] = patterns_per_cycle(kind);
-  state.counters["patt_cyc_per_s"] = benchmark::Counter(
-      static_cast<double>(cycles) * patterns_per_cycle(kind), benchmark::Counter::kIsRate);
+  // The trajectory's pinned name for the same rate (one pattern per cycle).
+  state.counters["patt_cyc_per_s"] =
+      benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
   state.counters["tb_instr"] = static_cast<double>(tb_instructions);
   report_counters(state, last);
-  report_workers(state, workers);
 }
 
 void cosim_bench(benchmark::State& state, DutKind kind) {
   std::uint64_t cycles = 0, syncs = 0;
   hdlsim::SimCounters last{};
-  std::vector<hdlsim::WorkerShardStats> workers;
   for (auto _ : state) {
     state.PauseTiming();
     auto dut = make_dut(kind);
@@ -171,16 +124,11 @@ void cosim_bench(benchmark::State& state, DutKind kind) {
     cycles += r.cycles;
     syncs += r.syncs;
     last = r.dut_counters;
-    workers = r.dut_workers;
   }
   state.counters["cyc_per_s"] =
       benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  state.counters["patterns"] = patterns_per_cycle(kind);
-  state.counters["patt_cyc_per_s"] = benchmark::Counter(
-      static_cast<double>(cycles) * patterns_per_cycle(kind), benchmark::Counter::kIsRate);
   state.counters["syncs"] = static_cast<double>(syncs);
   report_counters(state, last);
-  report_workers(state, workers);
 }
 
 void Fig9_RTL_VhdlTestbench(benchmark::State& s) { native_bench(s, DutKind::kRtl); }
@@ -225,7 +173,6 @@ const std::vector<std::vector<dsp::SrcEvent>>& batch_schedules() {
 
 void batch_bench(benchmark::State& state, const nl::Netlist& gates) {
   const unsigned threads = benchutil::requested_threads();
-  const double patterns = patterns_per_cycle(DutKind::kGateRtl);
   std::uint64_t cycles = 0, evals = 0;
   for (auto _ : state) {
     // Session non-null only under --ledger/--trace: batch job spans +
@@ -233,7 +180,7 @@ void batch_bench(benchmark::State& state, const nl::Netlist& gates) {
     // uninstrumented otherwise.
     const auto results =
         hdlsim::run_src_netlist_batch(gates, dsp::SrcMode::k44_1To48, batch_schedules(), {},
-                                      threads, benchutil::telemetry_session(), 0, backend());
+                                      threads, benchutil::telemetry_session());
     for (const auto& r : results) {
       benchmark::DoNotOptimize(r.outputs.data());
       cycles += r.cycles;
@@ -242,9 +189,6 @@ void batch_bench(benchmark::State& state, const nl::Netlist& gates) {
   }
   state.counters["cyc_per_s"] =
       benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  state.counters["patterns"] = patterns;
-  state.counters["patt_cyc_per_s"] =
-      benchmark::Counter(static_cast<double>(cycles) * patterns, benchmark::Counter::kIsRate);
   state.counters["evals_per_s"] =
       benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kIsRate);
   state.counters["threads"] = static_cast<double>(threads == 0 ? 0 : threads);

@@ -7,13 +7,9 @@
 // (git SHA via SCFLOW_GIT_REV, hostname, thread counts) into the
 // benchmark context, so emitted BENCH_*.json artifacts are attributable.
 //
-// Also understands `--threads N` (or `--threads=N`): the worker-lane
-// count the simulator benches pass to the parallel gate engine and the
-// sharded batch runner (0 = one lane per hardware thread, default 1).
-//
-// `--backend NAME` selects the gate-simulation engine for benches that
-// support both ("interpreted" = event-driven GateSim, "compiled" =
-// bit-parallel CompiledSim bytecode); `--repeat N` expands to
+// Also understands `--threads N` (or `--threads=N`): the lane count of
+// the sharded batch benches (0 = one lane per hardware thread, default 1);
+// each simulation itself runs on one thread.  `--repeat N` expands to
 // --benchmark_repetitions=N so scripted runs can take a min-of-N against
 // scheduler noise (the trajectory script's extraction does exactly that).
 //
@@ -40,10 +36,6 @@ inline unsigned& threads_slot() {
   static unsigned t = 1;
   return t;
 }
-inline std::string& backend_slot() {
-  static std::string b = "interpreted";
-  return b;
-}
 inline std::string& ledger_path_slot() {
   static std::string p;
   return p;
@@ -60,9 +52,6 @@ inline std::unique_ptr<obs::Session>& session_slot() {
 
 /// Lane count selected with --threads (1 when the flag is absent).
 inline unsigned requested_threads() { return detail::threads_slot(); }
-
-/// Engine name selected with --backend ("interpreted" when absent).
-inline const std::string& requested_backend() { return detail::backend_slot(); }
 
 /// The process-wide telemetry session, or nullptr when neither --ledger
 /// nor --trace was given.  Benches pass its registry into engine calls so
@@ -89,10 +78,6 @@ inline int run_benchmark_main(int argc, char** argv) {
     } else if (args[i].rfind("--threads=", 0) == 0) {
       detail::threads_slot() =
           static_cast<unsigned>(std::strtoul(args[i].c_str() + 10, nullptr, 10));
-    } else if (args[i] == "--backend" && i + 1 < args.size()) {
-      detail::backend_slot() = args[++i];
-    } else if (args[i].rfind("--backend=", 0) == 0) {
-      detail::backend_slot() = args[i].substr(10);
     } else if (args[i] == "--repeat" && i + 1 < args.size()) {
       expanded.push_back("--benchmark_repetitions=" + args[++i]);
     } else if (args[i].rfind("--repeat=", 0) == 0) {
@@ -127,7 +112,6 @@ inline int run_benchmark_main(int argc, char** argv) {
   benchmark::AddCustomContext("scflow_host", meta.host);
   benchmark::AddCustomContext("scflow_hw_threads", std::to_string(meta.hw_threads));
   benchmark::AddCustomContext("scflow_threads", std::to_string(requested_threads()));
-  benchmark::AddCustomContext("scflow_backend", requested_backend());
 
   benchmark::RunSpecifiedBenchmarks();
 

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Benchmark-trajectory snapshot: runs the headline gate-cosim benchmark on
-# both hdlsim backends plus the full-population PPSFP fault campaigns, and
+# Benchmark-trajectory snapshot: runs the headline gate-cosim benchmark,
+# the full-population PPSFP fault campaigns and the service soak, and
 # folds the google-benchmark JSON reports into a committed BENCH_<date>.json
 # (schema scflow-bench-1, see scripts/bench_compare.py).  The pinned
-# metrics are the pattern throughputs (patterns x cycles / s) of the two
-# synthesized Fig. 10 gate netlists under the VHDL-style testbench — the
-# numbers the compiled-backend acceptance rests on — for both backends,
-# and the faults/s of every Fig. 10 design's full-list PPSFP campaign
-# pair, so a later change that quietly slows either engine >20% fails
-# scripts/check.sh.
+# metrics are the cycle throughputs of the two synthesized Fig. 10 gate
+# netlists on GateSim under the VHDL-style testbench (reported as
+# patt_cyc_per_s, equal to cyc_per_s), the faults/s of every Fig. 10
+# design's full-list PPSFP campaign pair — CompiledSim's speed — and the
+# serve soak rate, so a later change that quietly slows either engine
+# >20% fails scripts/check.sh.
 #
 # Usage: scripts/bench_trajectory.sh [OUT.json]
 #   REPEAT=N   repetitions per benchmark; the ratchet keeps the best run,
@@ -30,13 +30,11 @@ cmake --build build -j"$JOBS" --target bench_fig9_cosim bench_fault bench_serve 
 # bench_json_main.hpp) — the same rev lands in the trajectory file below.
 export SCFLOW_GIT_REV="$(git rev-parse HEAD)"
 
-for backend in interpreted compiled; do
-  echo "== bench_fig9_cosim --backend $backend (repeat $REPEAT) =="
-  ./build/bench/bench_fig9_cosim --backend "$backend" \
-    --benchmark_filter="$FILTER" --repeat "$REPEAT" \
-    --benchmark_out="$TMP/$backend.gbench.json" \
-    --benchmark_out_format=json >/dev/null
-done
+echo "== bench_fig9_cosim (repeat $REPEAT) =="
+./build/bench/bench_fig9_cosim \
+  --benchmark_filter="$FILTER" --repeat "$REPEAT" \
+  --benchmark_out="$TMP/fig9.gbench.json" \
+  --benchmark_out_format=json >/dev/null
 
 # Full-population stuck-at campaigns (scan + noscan pair per design) on
 # the PPSFP engine — the fault-throughput half of the trajectory.  A
@@ -56,16 +54,13 @@ python3 scripts/bench_compare.py emit \
   --out "$OUT" \
   --pin 'fig9_cosim[interpreted]/Fig9_GateBEH_VhdlTestbench.patt_cyc_per_s' \
   --pin 'fig9_cosim[interpreted]/Fig9_GateRTL_VhdlTestbench.patt_cyc_per_s' \
-  --pin 'fig9_cosim[compiled]/Fig9_GateBEH_VhdlTestbench.patt_cyc_per_s' \
-  --pin 'fig9_cosim[compiled]/Fig9_GateRTL_VhdlTestbench.patt_cyc_per_s' \
   --pin 'fault/fault_vhdl_ref.faults_per_s' \
   --pin 'fault/fault_beh_unopt.faults_per_s' \
   --pin 'fault/fault_beh_opt.faults_per_s' \
   --pin 'fault/fault_rtl_unopt.faults_per_s' \
   --pin 'fault/fault_rtl_opt.faults_per_s' \
   --pin 'serve/serve_soak.sessions_samples_per_s' \
-  "fig9_cosim[interpreted]=$TMP/interpreted.gbench.json" \
-  "fig9_cosim[compiled]=$TMP/compiled.gbench.json" \
+  "fig9_cosim[interpreted]=$TMP/fig9.gbench.json" \
   "fault=$TMP/fault.gbench.json" \
   "serve=$TMP/serve.gbench.json"
 
@@ -74,10 +69,8 @@ import json, sys
 data = json.load(open(sys.argv[1]))
 b = data["benches"]
 for design in ("GateBEH", "GateRTL"):
-    key = f"Fig9_{design}_VhdlTestbench.patt_cyc_per_s"
-    comp, interp = b["fig9_cosim[compiled]"][key], b["fig9_cosim[interpreted]"][key]
-    print(f"  {design}: compiled {comp:.3g}/s vs interpreted {interp:.3g}/s "
-          f"-> {comp / interp:.1f}x")
+    rate = b["fig9_cosim[interpreted]"][f"Fig9_{design}_VhdlTestbench.cyc_per_s"]
+    print(f"  {design}: {rate:.3g} cyc/s (VHDL testbench, GateSim)")
 for slug in ("vhdl_ref", "beh_unopt", "beh_opt", "rtl_unopt", "rtl_opt"):
     fps = b["fault"][f"fault_{slug}.faults_per_s"]
     print(f"  fault {slug}: {fps:.3g} faults/s (full list, ppsfp)")

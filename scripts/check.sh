@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Full pre-merge check: the tier-1 build + test cycle, the formal CEC and
-# stuck-at fault-coverage gates over the synthesis flow, the run-telemetry
-# gate (two identical flow runs must produce ledgers scflow_report diffs
-# as metric-identical, timestamps excluded), the benchmark
+# stuck-at fault-coverage gates over the synthesis flow, the service soak
+# and chaos gates, the run-telemetry gate (two identical flow runs must
+# produce ledgers scflow_report diffs as metric-identical, timestamps
+# excluded), then the same test suite under AddressSanitizer + UBSan
+# (-DSCFLOW_SANITIZE=ON), then the threaded paths — the batch runner,
+# the concurrent fault-campaign runner and the service — under
+# ThreadSanitizer (-DSCFLOW_SANITIZE=thread) so both sanitizer wirings
+# are actually exercised on every change, and last the benchmark
 # trajectory ratchet (pinned throughput metrics vs the latest committed
-# BENCH_*.json, >20% regression fails), then the same
-# test suite under AddressSanitizer + UBSan (-DSCFLOW_SANITIZE=ON), then
-# the threaded simulator paths — including the concurrent fault-campaign
-# runner — under ThreadSanitizer (-DSCFLOW_SANITIZE=thread) so both
-# sanitizer wirings are actually exercised on every change.
+# BENCH_*.json, >20% regression fails).  The ratchet runs last so a
+# host-speed pin failure cannot hide the sanitizer results.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 set -euo pipefail
@@ -102,24 +104,6 @@ build/tools/scflow_report show "$OBS_DIR/ledger_a.jsonl" >/dev/null
 build/tools/scflow_report diff "$OBS_DIR/ledger_a.jsonl" "$OBS_DIR/ledger_b.jsonl"
 RAN_PASSES+=("obs")
 
-echo "== bench: trajectory ratchet vs latest committed BENCH_*.json =="
-# Re-measures the pinned headline metrics (gate-cosim pattern throughput
-# on both hdlsim backends) and fails on a >20% regression against the
-# newest committed trajectory file.  The benches run WITHOUT --ledger or
-# --trace, so this doubles as the instrumentation-off overhead guard: if
-# telemetry hooks ever leak cost into the uninstrumented paths, the
-# pinned metrics regress and this gate trips.  scripts/bench_trajectory.sh is also
-# how a new BENCH_<date>.json gets minted when the numbers move for a
-# good reason.
-BASELINE=$(git ls-files 'BENCH_*.json' | sort | tail -1)
-if [[ -z "$BASELINE" ]]; then
-  echo "no committed BENCH_*.json baseline; run scripts/bench_trajectory.sh to mint one"
-  exit 1
-fi
-scripts/bench_trajectory.sh "$(pwd)/build/bench_current.json"
-python3 scripts/bench_compare.py compare "$BASELINE" build/bench_current.json
-RAN_PASSES+=("bench")
-
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitize passes skipped (--skip-sanitize) =="
 else
@@ -132,15 +116,16 @@ else
   RAN_PASSES+=("ASan+UBSan")
 
   echo "== sanitize: TSan build + threaded simulator tests (build-tsan/) =="
-  # Only the targets that exercise the worker pool / parallel sweep are
-  # built and run (directly, not via ctest: gtest_discover_tests would
-  # re-register the whole suite for a partial build).  The cosim tests are
-  # excluded — the minisc kernel's ucontext fibers are outside TSan's
-  # supported threading model.
+  # A subset is built and run (directly, not via ctest:
+  # gtest_discover_tests would re-register the whole suite for a partial
+  # build): the gate-level suites and every target that drives a worker
+  # pool — test_gate_parallel holds the BatchRunner tests.  The cosim
+  # tests are excluded — the minisc kernel's ucontext fibers are outside
+  # TSan's supported threading model.
   cmake -B build-tsan -S . -DSCFLOW_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$JOBS" --target \
     test_gate_parallel test_gate_level test_gate_alloc test_fault \
-    test_ppsfp test_fuzz_equivalence test_compiled_sim test_serve test_resilience
+    test_ppsfp test_fuzz_equivalence test_serve test_resilience
   for t in test_gate_parallel test_gate_level test_gate_alloc; do
     echo "-- TSan: $t"
     TSAN_OPTIONS=halt_on_error=1 "build-tsan/tests/$t"
@@ -152,14 +137,10 @@ else
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_fault \
     --gtest_filter='-Campaign.PpsfpFullListReproducesSampledCoverageOnFig10'
   # The PPSFP engine's differential oracle across thread counts {1,2,4,8}
-  # on both engines — the batch-granularity concurrency of the new path.
+  # on both engines: BatchRunner lanes sharing one immutable
+  # CompiledProgram across worker threads.
   echo "-- TSan: test_ppsfp"
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_ppsfp
-  # The compiled backend's threaded path: BatchRunner lanes sharing one
-  # immutable CompiledProgram across worker threads.
-  echo "-- TSan: test_compiled_sim (batch runner)"
-  TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_compiled_sim \
-    --gtest_filter='CompiledBatch.*'
   # The streaming SRC service: SPSC rings crossed by client threads, the
   # multi-lane session scheduler, and the concurrent push/pull-while-step
   # case — the service's entire threading contract under the race detector.
@@ -172,11 +153,29 @@ else
   echo "-- TSan: test_resilience"
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_resilience
   # The fuzz oracle suite is heavyweight under TSan; one shard (125 random
-  # netlists, random lane counts) keeps the race coverage without the cost.
+  # netlists) keeps the coverage without the cost.
   echo "-- TSan: test_fuzz_equivalence (shard 0)"
   TSAN_OPTIONS=halt_on_error=1 build-tsan/tests/test_fuzz_equivalence \
     --gtest_filter='Shards/GateFuzzTableVsReference.*/0'
   RAN_PASSES+=("TSan")
 fi
+
+echo "== bench: trajectory ratchet vs latest committed BENCH_*.json =="
+# Re-measures the pinned headline metrics (Fig. 9 gate-DUT cycle rate on
+# GateSim, PPSFP faults/s, serve soak rate) and fails on a >20%
+# regression against the newest committed trajectory file.  The benches
+# run WITHOUT --ledger or --trace, so this doubles as the
+# instrumentation-off overhead guard: if telemetry hooks ever leak cost
+# into the uninstrumented paths, the pinned metrics regress and this gate
+# trips.  scripts/bench_trajectory.sh is also how a new BENCH_<date>.json
+# gets minted when the numbers move for a good reason.
+BASELINE=$(git ls-files 'BENCH_*.json' | sort | tail -1)
+if [[ -z "$BASELINE" ]]; then
+  echo "no committed BENCH_*.json baseline; run scripts/bench_trajectory.sh to mint one"
+  exit 1
+fi
+scripts/bench_trajectory.sh "$(pwd)/build/bench_current.json"
+python3 scripts/bench_compare.py compare "$BASELINE" build/bench_current.json
+RAN_PASSES+=("bench")
 
 echo "== all checks passed: ${RAN_PASSES[*]} =="

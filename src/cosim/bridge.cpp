@@ -109,7 +109,6 @@ CosimResult run_cosim(hdlsim::Dut& dut, dsp::SrcMode mode,
   r.cycles = bridge.dut_cycles();
   r.syncs = bridge.sync_count();
   r.dut_counters = dut.counters();
-  r.dut_workers = dut.worker_stats();
   return r;
 }
 

@@ -104,16 +104,15 @@ void BatchRunner::record_into(obs::Session& session, std::string_view prefix,
 std::vector<GateRunResult> run_src_netlist_batch(
     const nl::Netlist& netlist, dsp::SrcMode mode,
     const std::vector<std::vector<dsp::SrcEvent>>& schedules,
-    GateSim::Options options, unsigned threads, obs::Session* session,
-    std::uint64_t job_timeout_ns, Backend backend) {
-  options.threads = 1;  // parallelism comes from the batch axis
+    const GateSim::Options& options, unsigned threads, obs::Session* session,
+    std::uint64_t job_timeout_ns) {
   std::vector<GateRunResult> results(schedules.size());
   BatchRunner runner(threads);
   runner.set_job_budget_ns(job_timeout_ns);
   runner.run(schedules.size(),
              [&](std::size_t job, unsigned /*lane*/, const BatchRunner::JobContext& ctx) {
-               results[job] = run_src_netlist(netlist, mode, schedules[job], options,
-                                              ctx.deadline_ns, backend);
+               results[job] =
+                   run_src_netlist(netlist, mode, schedules[job], options, ctx.deadline_ns);
              });
   if (session != nullptr) runner.record_into(*session, "gate_batch");
   return results;

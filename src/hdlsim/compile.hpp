@@ -23,13 +23,6 @@
 
 namespace scflow::hdlsim {
 
-/// Simulation engine selector, threaded through GateDut / run_src_netlist
-/// / BatchRunner / the fault campaign reference run.
-enum class Backend {
-  kInterpreted,  ///< event-driven four-valued GateSim
-  kCompiled,     ///< straight-line bit-parallel CompiledSim
-};
-
 /// One fused bytecode op, packed to 16 bytes so one cache line carries
 /// four (the executor streams the whole op array every settle).  `kind()`
 /// is a nl::CellType for plain cells (the flop-sample ops reuse

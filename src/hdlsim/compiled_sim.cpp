@@ -7,7 +7,6 @@
 
 #include "core/wordpack.hpp"
 #include "dtypes/bit_int.hpp"
-#include "obs/registry.hpp"
 
 namespace scflow::hdlsim {
 
@@ -16,37 +15,21 @@ using CT = nl::CellType;
 constexpr std::uint8_t op_kind(CT t) { return static_cast<std::uint8_t>(t); }
 }  // namespace
 
-CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options)
-    : CompiledSim(netlist, options, compile_netlist(netlist), nullptr) {}
+CompiledSim::CompiledSim(const nl::Netlist& netlist)
+    : CompiledSim(netlist, compile_netlist(netlist), nullptr) {}
 
-CompiledSim::CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program,
-                         Options options)
-    : CompiledSim(netlist, options, CompiledProgram{}, &program) {}
+CompiledSim::CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program)
+    : CompiledSim(netlist, CompiledProgram{}, &program) {}
 
-CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options, CompiledProgram own,
+CompiledSim::CompiledSim(const nl::Netlist& netlist, CompiledProgram own,
                          const CompiledProgram* shared)
     : nl_(&netlist),
-      options_(options),
       prog_own_(std::move(own)),
       prog_(shared != nullptr ? *shared : prog_own_) {
-  if (options_.x_initial_flops) options_.four_state = true;
-
   vals_.assign(prog_.slot_count, 0);
-  if (options_.four_state) known_.assign(prog_.slot_count, 0);
-  auto* k = options_.four_state ? known_.data() : nullptr;
-  for (const std::uint32_t s : prog_.tie0_slots) {
-    vals_[s] = 0;
-    if (k != nullptr) k[s] = ~0ull;
-  }
-  for (const std::uint32_t s : prog_.tie1_slots) {
-    vals_[s] = ~0ull;
-    if (k != nullptr) k[s] = ~0ull;
-  }
-  for (std::uint32_t fi = 0; fi < prog_.flop_count; ++fi) {
-    if (options_.x_initial_flops) continue;  // unknown: value 0, known 0
+  for (const std::uint32_t s : prog_.tie1_slots) vals_[s] = ~0ull;
+  for (std::uint32_t fi = 0; fi < prog_.flop_count; ++fi)
     vals_[fi] = core::word_broadcast(prog_.flop_init[fi] != 0);
-    if (k != nullptr) k[fi] = ~0ull;
-  }
 
   std::size_t widest_data = 0;
   macro_rt_.resize(prog_.macros.size());
@@ -58,13 +41,10 @@ CompiledSim::CompiledSim(const nl::Netlist& netlist, Options options, CompiledPr
   port_rt_.resize(prog_.macro_ports.size());
   for (std::size_t pi = 0; pi < prog_.macro_ports.size(); ++pi) {
     const CompiledMacroPort& mp = prog_.macro_ports[pi];
-    ++macro_rt_[mp.macro].read_ports;
-    const std::size_t stash_words = mp.addr_slots.size() + mp.en_slots.size();
-    port_rt_[pi].stash.assign(stash_words * (options_.four_state ? 2 : 1), 0);
+    port_rt_[pi].stash.assign(mp.addr_slots.size() + mp.en_slots.size(), 0);
     widest_data = std::max(widest_data, mp.data_slots.size());
   }
-  scratch_v_.assign(widest_data, 0);
-  scratch_k_.assign(widest_data, 0);
+  scratch_.assign(widest_data, 0);
 
   for (const nl::PortBits& p : netlist.inputs()) in_ports_[p.name] = &p;
   for (const nl::PortBits& p : netlist.outputs()) out_ports_[p.name] = &p;
@@ -96,60 +76,23 @@ std::size_t CompiledSim::out_index(PortRef port) const {
   return idx;
 }
 
-void CompiledSim::drive_bit(std::uint32_t slot, std::uint64_t value, std::uint64_t known) {
-  vals_[slot] = value & known;
-  if (options_.four_state) known_[slot] = known;
-  else if (known != ~0ull)
-    throw std::invalid_argument(prog_.name + ": X/Z stimulus needs the four-state backend");
-}
-
 void CompiledSim::set_input(const std::string& name, std::uint64_t value) {
   set_input(input_port(name), value);
 }
 
 void CompiledSim::set_input(PortRef port, std::uint64_t value) {
   const auto& slots = prog_.input_slots[in_index(port)];
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const bool b = i < 64 && ((value >> i) & 1u) != 0;
-    drive_bit(slots[i], core::word_broadcast(b), ~0ull);
-  }
-}
-
-void CompiledSim::set_input_x(const std::string& name) {
-  const auto& slots = prog_.input_slots[in_index(input_port(name))];
-  for (const std::uint32_t s : slots) drive_bit(s, 0, 0);
-}
-
-void CompiledSim::set_input_logic(const std::string& name, const scflow::LogicVector& bits) {
-  PortRef port = input_port(name);
-  const auto& slots = prog_.input_slots[in_index(port)];
-  if (bits.width() > slots.size())
-    throw std::invalid_argument("vector wider than input '" + name + "'");
-  for (std::size_t i = 0; i < bits.width(); ++i) {
-    const scflow::Logic b = bits.at(i);
-    if (scflow::logic_is_01(b))
-      drive_bit(slots[i], core::word_broadcast(b == scflow::Logic::L1), ~0ull);
-    else
-      drive_bit(slots[i], 0, 0);
-  }
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    vals_[slots[i]] = core::word_broadcast(i < 64 && ((value >> i) & 1u) != 0);
 }
 
 void CompiledSim::set_input_word(PortRef port, std::size_t bit, std::uint64_t patterns) {
-  drive_bit(prog_.input_slots[in_index(port)].at(bit), patterns, ~0ull);
-}
-
-void CompiledSim::set_input_word(PortRef port, std::size_t bit, std::uint64_t value,
-                                 std::uint64_t known) {
-  if (!options_.four_state && known != ~0ull)
-    throw std::invalid_argument(prog_.name + ": X/Z stimulus needs the four-state backend");
-  drive_bit(prog_.input_slots[in_index(port)].at(bit), value, known);
+  vals_[prog_.input_slots[in_index(port)].at(bit)] = patterns;
 }
 
 // --- PPSFP fault overlay ---------------------------------------------------
 
 void CompiledSim::set_fault_overlay(const std::vector<LaneFault>& faults) {
-  if (options_.four_state)
-    throw std::logic_error(prog_.name + ": the PPSFP fault overlay is two-state only");
   ov_settle_.clear();
   ov_commit_.clear();
   ov_op_.clear();
@@ -232,86 +175,24 @@ void CompiledSim::set_fault_overlay(const std::vector<LaneFault>& faults) {
 
 // --- execution -------------------------------------------------------------
 
-template <bool FourState>
-bool CompiledSim::eval_macro_port(std::uint32_t pi) {
-  if constexpr (!FourState)
-    if (overlay_) return eval_macro_port_overlay(pi);
-  const CompiledMacroPort& mp = prog_.macro_ports[pi];
-  const CompiledMacro& cm = prog_.macros[mp.macro];
-  MacroRt& mrt = macro_rt_[mp.macro];
-  PortRt& prt = port_rt_[pi];
-
-  // Change detection: re-evaluate only when the settled address/enable
-  // words moved since the last evaluation or the RAM was written —
-  // mirroring GateSim's dirty marking, which is what lets externally
-  // driven data-port values persist identically on both engines.
-  const std::size_t n_in = mp.addr_slots.size() + mp.en_slots.size();
-  bool changed = !prt.valid || mrt.wrote_mask != 0;
-  std::size_t w = 0;
-  const auto scan = [&](const std::vector<std::uint32_t>& slots) {
-    for (const std::uint32_t s : slots) {
-      if (prt.stash[w] != vals_[s]) {
-        changed = true;
-        prt.stash[w] = vals_[s];
-      }
-      if constexpr (FourState) {
-        if (prt.stash[n_in + w] != known_[s]) {
-          changed = true;
-          prt.stash[n_in + w] = known_[s];
-        }
-      }
-      ++w;
-    }
-  };
-  scan(mp.addr_slots);
-  scan(mp.en_slots);
-  prt.valid = true;
-  if (!changed) return false;
-
-  const std::size_t data_bits = mp.data_slots.size();
-  std::fill_n(scratch_v_.begin(), data_bits, 0);
-  if constexpr (FourState) std::fill_n(scratch_k_.begin(), data_bits, 0);
-  const std::size_t entries = std::size_t{1} << cm.addr_bits;
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
-    std::uint64_t addr = 0;
-    bool addr_ok = true;
-    for (std::size_t b = 0; b < mp.addr_slots.size(); ++b) {
-      const std::uint32_t s = mp.addr_slots[b];
-      if constexpr (FourState)
-        addr_ok &= core::word_lane(known_[s], lane);
-      addr |= std::uint64_t{core::word_lane(vals_[s], lane)} << b;
-    }
-    if (!addr_ok) continue;  // whole data bus unknown for this lane
-    std::uint64_t word;
-    if (cm.kind == nl::MacroInfo::Kind::kRom) {
-      word = addr < cm.rom_contents.size()
-                 ? static_cast<std::uint64_t>(cm.rom_contents[addr]) &
-                       scflow::bit_mask(cm.data_bits)
-                 : 0;
-    } else {
-      word = mrt.ram[std::size_t{lane} * entries + addr];
-    }
-    for (std::size_t b = 0; b < data_bits; ++b) {
-      if (((word >> b) & 1u) != 0) scratch_v_[b] |= std::uint64_t{1} << lane;
-      if constexpr (FourState) scratch_k_[b] |= std::uint64_t{1} << lane;
-    }
-  }
-  if constexpr (!FourState) {
-    for (std::size_t b = 0; b < data_bits; ++b) vals_[mp.data_slots[b]] = scratch_v_[b];
-  } else {
-    for (std::size_t b = 0; b < data_bits; ++b) {
-      vals_[mp.data_slots[b]] = scratch_v_[b];
-      known_[mp.data_slots[b]] = scratch_k_[b];
-    }
-  }
-  return true;
+std::uint64_t CompiledSim::gather(const std::vector<std::uint32_t>& slots,
+                                  unsigned lane) const {
+  std::uint64_t w = 0;
+  for (std::size_t b = 0; b < slots.size(); ++b)
+    w |= std::uint64_t{core::word_lane(vals_[slots[b]], lane)} << b;
+  return w;
 }
 
-// Overlay-mode port evaluation: the same change detection per lane.  Each
-// lane is one faulty machine, so only the lanes whose address/enable bits
-// (or RAM contents) moved re-evaluate — the others keep their externally
-// driven data-port values exactly as their event-driven twin would.
-bool CompiledSim::eval_macro_port_overlay(std::uint32_t pi) {
+// Change detection: a port re-evaluates only when its settled
+// address/enable words moved since the last evaluation or the RAM was
+// written — mirroring GateSim's dirty marking, which is what lets
+// externally driven data-port values persist identically on both engines.
+// Without an overlay the lanes carry one stimulus, so any change
+// re-evaluates the whole word; with one, each lane is its own faulty
+// machine and only the lanes whose address/enable bits (or RAM contents)
+// moved re-evaluate — the others keep their data-port values exactly as
+// their event-driven twin would.
+bool CompiledSim::eval_macro_port(std::uint32_t pi) {
   const CompiledMacroPort& mp = prog_.macro_ports[pi];
   const CompiledMacro& cm = prog_.macros[mp.macro];
   MacroRt& mrt = macro_rt_[mp.macro];
@@ -330,15 +211,14 @@ bool CompiledSim::eval_macro_port_overlay(std::uint32_t pi) {
   scan(mp.en_slots);
   prt.valid = true;
   if (changed == 0) return false;
+  if (!overlay_) changed = ~0ull;
 
   const std::size_t data_bits = mp.data_slots.size();
-  std::fill_n(scratch_v_.begin(), data_bits, 0);
+  std::fill_n(scratch_.begin(), data_bits, 0);
   const std::size_t entries = std::size_t{1} << cm.addr_bits;
   for (unsigned lane = 0; lane < kLanes; ++lane) {
     if (((changed >> lane) & 1u) == 0) continue;
-    std::uint64_t addr = 0;
-    for (std::size_t b = 0; b < mp.addr_slots.size(); ++b)
-      addr |= std::uint64_t{core::word_lane(vals_[mp.addr_slots[b]], lane)} << b;
+    const std::uint64_t addr = gather(mp.addr_slots, lane);
     std::uint64_t word;
     if (cm.kind == nl::MacroInfo::Kind::kRom) {
       word = addr < cm.rom_contents.size()
@@ -349,17 +229,15 @@ bool CompiledSim::eval_macro_port_overlay(std::uint32_t pi) {
       word = mrt.ram[std::size_t{lane} * entries + addr];
     }
     for (std::size_t b = 0; b < data_bits; ++b)
-      if (((word >> b) & 1u) != 0) scratch_v_[b] |= std::uint64_t{1} << lane;
+      if (((word >> b) & 1u) != 0) scratch_[b] |= std::uint64_t{1} << lane;
   }
   for (std::size_t b = 0; b < data_bits; ++b)
-    vals_[mp.data_slots[b]] = (vals_[mp.data_slots[b]] & ~changed) | scratch_v_[b];
+    vals_[mp.data_slots[b]] = (vals_[mp.data_slots[b]] & ~changed) | scratch_[b];
   return true;
 }
 
-template <bool FourState>
 void CompiledSim::exec() {
   std::uint64_t* const v = vals_.data();
-  std::uint64_t* const k = FourState ? known_.data() : nullptr;
   std::uint64_t ran = 0;
   const CompiledOp* const ops = prog_.ops.data();
   // One dispatch per kind-homogeneous run, then a tight branch-free sweep
@@ -369,143 +247,46 @@ void CompiledSim::exec() {
   // clamp fires right after its driver op (oc walks ov_op_, sorted by op
   // index), with the run split at the clamped op — a dependent same-kind
   // chain shares one run, so a reader may sit just after the driver.
-  // Overlay-free executions (the benches) never take the split: the oc
-  // bound check fails once per run and the sweep covers the whole span.
-  [[maybe_unused]] std::size_t oc = 0;
+  // Overlay-free executions never take the split: the oc bound check
+  // fails once per run and the sweep covers the whole span.
+  std::size_t oc = 0;
   const auto clamps_through = [&](std::uint32_t op_end) {
-    if constexpr (!FourState)
-      for (; oc < ov_op_.size() && ov_op_[oc].op < op_end; ++oc)
-        apply_clamp(ov_op_[oc].clamp);
+    for (; oc < ov_op_.size() && ov_op_[oc].op < op_end; ++oc) apply_clamp(ov_op_[oc].clamp);
   };
-  const auto sweep = [&](std::uint8_t kind, const CompiledOp* p,
-                         const CompiledOp* const e) {
+  const auto sweep = [&](std::uint8_t kind, const CompiledOp* p, const CompiledOp* const e) {
     constexpr std::uint32_t M = CompiledOp::kOutMask;
-    if constexpr (!FourState) {
-      switch (kind) {
-        case op_kind(CT::kBuf):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0];
-          break;
-        case op_kind(CT::kInv):
-          for (; p != e; ++p) v[p->out_kind & M] = ~v[p->in0];
-          break;
-        case op_kind(CT::kAnd2):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] & v[p->in1];
-          break;
-        case op_kind(CT::kOr2):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] | v[p->in1];
-          break;
-        case op_kind(CT::kNand2):
-          for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] & v[p->in1]);
-          break;
-        case op_kind(CT::kNor2):
-          for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] | v[p->in1]);
-          break;
-        case op_kind(CT::kXor2):
-          for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] ^ v[p->in1];
-          break;
-        case op_kind(CT::kXnor2):
-          for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] ^ v[p->in1]);
-          break;
-        case op_kind(CT::kMux2):
-          for (; p != e; ++p) {
-            const std::uint64_t s = v[p->in0];
-            v[p->out_kind & M] = (s & v[p->in2]) | (~s & v[p->in1]);
-          }
-          break;
-        default: break;
-      }
-    } else {
-      // Masked value/known pairs (unknown bits carry value 0), derived
-      // from the dtypes/logic.cpp truth tables with Z collapsed to X.
-      switch (kind) {
-        case op_kind(CT::kBuf):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            v[out] = v[p->in0];
-            k[out] = k[p->in0];
-          }
-          break;
-        case op_kind(CT::kInv):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            v[out] = ak & ~av;
-            k[out] = ak;
-          }
-          break;
-        case op_kind(CT::kAnd2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            const std::uint64_t rv = av & bv;  // a known 0 dominates
-            v[out] = rv;
-            k[out] = rv | (ak & ~av) | (bk & ~bv);
-          }
-          break;
-        case op_kind(CT::kNand2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            const std::uint64_t tv = av & bv;
-            const std::uint64_t tk = tv | (ak & ~av) | (bk & ~bv);
-            v[out] = tk & ~tv;
-            k[out] = tk;
-          }
-          break;
-        case op_kind(CT::kOr2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            v[out] = av | bv;  // a known 1 dominates
-            k[out] = av | bv | (ak & bk);
-          }
-          break;
-        case op_kind(CT::kNor2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t av = v[p->in0], ak = k[p->in0];
-            const std::uint64_t bv = v[p->in1], bk = k[p->in1];
-            const std::uint64_t tv = av | bv;
-            const std::uint64_t tk = tv | (ak & bk);
-            v[out] = tk & ~tv;
-            k[out] = tk;
-          }
-          break;
-        case op_kind(CT::kXor2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t rk = k[p->in0] & k[p->in1];
-            v[out] = rk & (v[p->in0] ^ v[p->in1]);
-            k[out] = rk;
-          }
-          break;
-        case op_kind(CT::kXnor2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t rk = k[p->in0] & k[p->in1];
-            v[out] = rk & ~(v[p->in0] ^ v[p->in1]);
-            k[out] = rk;
-          }
-          break;
-        case op_kind(CT::kMux2):
-          for (; p != e; ++p) {
-            const std::uint32_t out = p->out_kind & M;
-            const std::uint64_t sv = v[p->in0], sk = k[p->in0];
-            const std::uint64_t pv = v[p->in1], pk = k[p->in1];
-            const std::uint64_t qv = v[p->in2], qk = k[p->in2];
-            const std::uint64_t s1 = sk & sv, s0 = sk & ~sv;
-            // Unknown select: known only where both branches agree on 0/1.
-            const std::uint64_t agree = pk & qk & ~(pv ^ qv);
-            const std::uint64_t rk = (s0 & pk) | (s1 & qk) | (~sk & agree);
-            v[out] = rk & ((s0 & pv) | (s1 & qv) | (~sk & pv));
-            k[out] = rk;
-          }
-          break;
-        default: break;
-      }
+    switch (kind) {
+      case op_kind(CT::kBuf):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0];
+        break;
+      case op_kind(CT::kInv):
+        for (; p != e; ++p) v[p->out_kind & M] = ~v[p->in0];
+        break;
+      case op_kind(CT::kAnd2):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] & v[p->in1];
+        break;
+      case op_kind(CT::kOr2):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] | v[p->in1];
+        break;
+      case op_kind(CT::kNand2):
+        for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] & v[p->in1]);
+        break;
+      case op_kind(CT::kNor2):
+        for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] | v[p->in1]);
+        break;
+      case op_kind(CT::kXor2):
+        for (; p != e; ++p) v[p->out_kind & M] = v[p->in0] ^ v[p->in1];
+        break;
+      case op_kind(CT::kXnor2):
+        for (; p != e; ++p) v[p->out_kind & M] = ~(v[p->in0] ^ v[p->in1]);
+        break;
+      case op_kind(CT::kMux2):
+        for (; p != e; ++p) {
+          const std::uint64_t s = v[p->in0];
+          v[p->out_kind & M] = (s & v[p->in2]) | (~s & v[p->in1]);
+        }
+        break;
+      default: break;
     }
   };
   for (std::size_t ri = 0; ri < prog_.runs.size(); ++ri) {
@@ -514,97 +295,61 @@ void CompiledSim::exec() {
       // Read-port data slots clamp per op too: one port's data net can
       // directly address another port in the same run.
       for (std::uint32_t oi = run.begin; oi < run.end; ++oi) {
-        ran += eval_macro_port<FourState>(ops[oi].in0) ? 1u : 0u;
+        ran += eval_macro_port(ops[oi].in0) ? 1u : 0u;
         clamps_through(oi + 1);
       }
       continue;
     }
     ran += run.end - run.begin;
     std::uint32_t cur = run.begin;
-    if constexpr (!FourState) {
-      while (oc < ov_op_.size() && ov_op_[oc].op < run.end) {
-        const std::uint32_t stop = ov_op_[oc].op + 1;
-        sweep(run.kind, ops + cur, ops + stop);
-        clamps_through(stop);
-        cur = stop;
-      }
+    while (oc < ov_op_.size() && ov_op_[oc].op < run.end) {
+      const std::uint32_t stop = ov_op_[oc].op + 1;
+      sweep(run.kind, ops + cur, ops + stop);
+      clamps_through(stop);
+      cur = stop;
     }
     sweep(run.kind, ops + cur, ops + run.end);
   }
   ops_run_ += ran;
-  counters_.evaluations += ran;
-  words_ += ran * (FourState ? 2 : 1);
 }
 
-template <bool FourState>
+// Same rules as GateSim: a zero write enable skips the lane.
 void CompiledSim::ram_writes() {
   for (std::size_t mi = 0; mi < prog_.macros.size(); ++mi) {
     const CompiledMacro& cm = prog_.macros[mi];
     if (cm.kind != nl::MacroInfo::Kind::kRam) continue;
     MacroRt& mrt = macro_rt_[mi];
     const std::size_t entries = std::size_t{1} << cm.addr_bits;
-    const auto gather = [&](const std::vector<std::uint32_t>& slots, unsigned lane,
-                            bool& ok) {
-      std::uint64_t w = 0;
-      for (std::size_t b = 0; b < slots.size(); ++b) {
-        if constexpr (FourState) ok &= core::word_lane(known_[slots[b]], lane);
-        w |= std::uint64_t{core::word_lane(vals_[slots[b]], lane)} << b;
-      }
-      return w;
-    };
-    std::uint64_t wrote = 0;
     for (unsigned lane = 0; lane < kLanes; ++lane) {
-      // Same rules as GateSim: X on the enable bus or a zero enable skips,
-      // an X address makes the contents unknowable (skip), X data writes 0.
-      bool wen_ok = true;
-      const std::uint64_t wen = gather(cm.wen_slots, lane, wen_ok);
-      if (!wen_ok || wen == 0) continue;
-      bool addr_ok = true;
-      const std::uint64_t addr = gather(cm.waddr_slots, lane, addr_ok);
-      if (!addr_ok) continue;
-      bool data_ok = true;
-      const std::uint64_t data = gather(cm.wdata_slots, lane, data_ok);
+      if (gather(cm.wen_slots, lane) == 0) continue;
+      const std::uint64_t addr = gather(cm.waddr_slots, lane);
       mrt.ram[std::size_t{lane} * entries + addr] =
-          data_ok ? static_cast<std::uint32_t>(data) : 0;
-      wrote |= std::uint64_t{1} << lane;
-    }
-    if (wrote != 0) {
-      mrt.wrote_mask |= wrote;
-      counters_.ram_rereads += mrt.read_ports;
+          static_cast<std::uint32_t>(gather(cm.wdata_slots, lane));
+      mrt.wrote_mask |= std::uint64_t{1} << lane;
     }
   }
 }
 
 void CompiledSim::settle() {
-  ++counters_.settle_calls;
-  ++counters_.settle_passes;
   // Externally driven slots were (re)written by set_input since the last
   // pass; re-assert their lane clamps before any op reads them.
   if (overlay_)
     for (const Clamp& c : ov_settle_) apply_clamp(c);
-  if (options_.four_state) exec<true>();
-  else exec<false>();
+  exec();
   // Write-forced re-evaluations were consumed by this pass.
   for (MacroRt& m : macro_rt_) m.wrote_mask = 0;
 }
 
 void CompiledSim::step() {
   settle();
-  if (options_.four_state) ram_writes<true>();
-  else ram_writes<false>();
+  ram_writes();
   // The flat flop commit the slot layout was built for: next-state region
   // [F,2F) onto the committed region [0,F) in one contiguous copy.
   const std::uint32_t F = prog_.flop_count;
   std::copy_n(vals_.begin() + F, F, vals_.begin());
-  if (options_.four_state) std::copy_n(known_.begin() + F, F, known_.begin());
   // Faulty Q slots: the commit is the write, the clamp follows it.
   if (overlay_)
     for (const Clamp& c : ov_commit_) apply_clamp(c);
-  ++cycles_;
-  if (options_.ops_histogram) {
-    cycle_ops_.record(ops_run_ - ops_at_cycle_start_);
-    ops_at_cycle_start_ = ops_run_;
-  }
 }
 
 // --- reads -----------------------------------------------------------------
@@ -614,35 +359,13 @@ std::uint64_t CompiledSim::output(const std::string& name) {
 }
 
 std::uint64_t CompiledSim::output(PortRef port) {
-  const auto& slots = prog_.output_slots[out_index(port)];
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < slots.size() && i < 64; ++i) {
-    if (options_.four_state && !core::word_lane(known_[slots[i]], 0))
-      throw std::runtime_error("output '" + port->name + "' carries X/Z");
-    v |= std::uint64_t{core::word_lane(vals_[slots[i]], 0)} << i;
-  }
-  return v;
-}
-
-scflow::LogicVector CompiledSim::output_bits(const std::string& name, unsigned lane) const {
-  const auto it = out_ports_.find(name);
-  if (it == out_ports_.end()) throw std::invalid_argument("no output '" + name + "'");
-  const auto& slots = prog_.output_slots[out_index(it->second)];
-  scflow::LogicVector v(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (options_.four_state && !core::word_lane(known_[slots[i]], lane))
-      v.set(i, scflow::Logic::X);
-    else
-      v.set(i, scflow::logic_from_bool(core::word_lane(vals_[slots[i]], lane)));
-  }
-  return v;
+  return output_sample(port).value;
 }
 
 GateSim::PortSample CompiledSim::output_sample(PortRef port, unsigned lane) const {
   const auto& slots = prog_.output_slots[out_index(port)];
   GateSim::PortSample s;
   for (std::size_t i = 0; i < slots.size() && i < 64; ++i) {
-    if (options_.four_state && !core::word_lane(known_[slots[i]], lane)) continue;
     s.known |= std::uint64_t{1} << i;
     if (core::word_lane(vals_[slots[i]], lane)) s.value |= std::uint64_t{1} << i;
   }
@@ -651,19 +374,6 @@ GateSim::PortSample CompiledSim::output_sample(PortRef port, unsigned lane) cons
 
 std::uint64_t CompiledSim::output_word(PortRef port, std::size_t bit) const {
   return vals_[prog_.output_slots[out_index(port)].at(bit)];
-}
-
-std::uint64_t CompiledSim::output_known_word(PortRef port, std::size_t bit) const {
-  if (!options_.four_state) return ~0ull;
-  return known_[prog_.output_slots[out_index(port)].at(bit)];
-}
-
-void CompiledSim::record_into(scflow::obs::Registry& reg, std::string_view prefix) const {
-  const std::string p(prefix);
-  reg.set_counter(p + ".ops", ops_run_);
-  reg.set_counter(p + ".words", words_);
-  reg.set_counter(p + ".cycles", cycles_);
-  if (cycle_ops_.count() > 0) reg.merge_histogram(p + ".cycle_ops", cycle_ops_);
 }
 
 }  // namespace scflow::hdlsim

@@ -3,39 +3,31 @@
 // patterns packed per machine word — one fused op per cell, operands
 // pre-resolved to dense word slots, flop commit as one flat copy.  The
 // Verilated-style answer to GateSim's event-driven interpreter: no dirty
-// queue, no levels, just a tight dispatch loop whose pattern throughput
-// (patterns x cycles / s) is what the compiled backend benches report.
+// queue, no levels, just a tight dispatch loop.  It earns its keep only
+// where 64 distinct patterns exist — the PPSFP fault screen and batches
+// and the CEC random pre-pass; every testbench-driven DUT, campaign
+// reference run and event-driven faulty machine runs on GateSim.
 //
-// Two execution modes:
-//  - two-state (default): one word per slot, X-free semantics.  Bit-exact
-//    with GateSim wherever the stimulus and reset state are fully defined
-//    (the SRC schedules, the CEC pre-pass, defined fuzz stimulus).
-//  - four-state (value/known word pair per slot): X-capable parity mode.
-//    Unknown bits carry known=0 (and value=0 — the masked invariant);
-//    X and Z collapse to unknown, exactly as pessimistic as GateSim's
-//    truth tables, so broadcast four-state runs reproduce GateSim's
-//    output_sample() masks bit for bit (the fault campaign's reference
-//    backend rests on this).
+// Two-state semantics: one word per slot, X-free.  Bit-exact with GateSim
+// wherever the stimulus and the power-up state are fully defined (the
+// PPSFP screen checks exactly that before trusting a program).
 //
 // Macro (RAM/ROM) read ports run as per-lane bit-serial interpreted ops
-// inside the compiled program — the fallback-to-interpreter regime for
-// logic the bytecode cannot fuse.  To match GateSim's event semantics
+// inside the compiled program.  To match GateSim's event semantics
 // (externally driven macro-data values persist until the port
 // re-evaluates), a port only re-evaluates when its settled address/enable
 // words changed since its last evaluation or the macro was written; with
 // per-lane *independent* stimulus that change detection is whole-word
 // (any lane re-evaluates all lanes), so netlists whose macro data ports
 // are driven externally should use broadcast stimulus.  The checking RAM
-// model (Options::check_ram) stays interpreter-only: make_gate_dut falls
-// back to GateDut when it is requested.
+// model (GateSim::Options::check_ram) is GateSim-only.
 //
-// PPSFP fault overlay (set_fault_overlay, two-state only): each pattern
-// lane carries one stuck-at fault.  The fault's slot is clamped after
-// every write — at settle start for externally driven slots, right after
-// its driver op (the executor splits that op's kind-homogeneous run at
-// the clamp, since a reader may share the run), after the flat flop
-// commit for Q slots — matching GateSim::inject_stuck's write-side
-// semantics per lane.  With
+// PPSFP fault overlay (set_fault_overlay): each pattern lane carries one
+// stuck-at fault.  The fault's slot is clamped after every write — at
+// settle start for externally driven slots, right after its driver op
+// (the executor splits that op's kind-homogeneous run at the clamp, since
+// a reader may share the run), after the flat flop commit for Q slots —
+// matching GateSim::inject_stuck's write-side semantics per lane.  With
 // an overlay installed the macro change detection above switches to
 // per-lane masks (changed/wrote lanes re-evaluate alone), so 64 faulty
 // machines diverge independently exactly as 64 event-driven GateSims
@@ -43,49 +35,27 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "dtypes/logic.hpp"
 #include "hdlsim/compile.hpp"
 #include "hdlsim/gate_sim.hpp"
-#include "hdlsim/sim_counters.hpp"
 #include "netlist/netlist.hpp"
-#include "obs/histogram.hpp"
-
-namespace scflow::obs {
-class Registry;
-}
 
 namespace scflow::hdlsim {
 
 class CompiledSim {
  public:
-  struct Options {
-    /// Run the value/known pair representation (X-capable).  Implied by
-    /// x_initial_flops.
-    bool four_state = false;
-    /// Power-up flops unknown instead of their reset values; forces
-    /// four_state on.
-    bool x_initial_flops = false;
-    /// Record a per-cycle executed-ops histogram (one sample per step()).
-    /// Off by default: the benches measure the uninstrumented loop.
-    bool ops_histogram = false;
-  };
-
   /// Patterns per machine word — the parallel axis of this backend.
   static constexpr unsigned kLanes = 64;
 
   /// @p netlist must outlive the simulator (slots bind to its ports).
-  explicit CompiledSim(const nl::Netlist& netlist) : CompiledSim(netlist, Options{}) {}
-  CompiledSim(const nl::Netlist& netlist, Options options);
+  explicit CompiledSim(const nl::Netlist& netlist);
   /// Shares a pre-compiled @p program (from compile_netlist(netlist);
   /// must outlive the simulator).  Fan-out users — the PPSFP fault
   /// batches above all — compile once and construct many executors.
-  CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program, Options options);
+  CompiledSim(const nl::Netlist& netlist, const CompiledProgram& program);
   CompiledSim(const CompiledSim&) = delete;
   CompiledSim& operator=(const CompiledSim&) = delete;
 
@@ -99,91 +69,49 @@ class CompiledSim {
   };
 
   /// Installs a per-lane stuck-at overlay (replacing any previous one)
-  /// and clamps the current state, like GateSim::inject_stuck.  Two-state
-  /// mode only — the PPSFP campaign screens X-sensitive programs out to
-  /// the event-driven engine first; throws std::logic_error in four-state
-  /// mode.  An empty vector clears the overlay.
+  /// and clamps the current state, like GateSim::inject_stuck.  The PPSFP
+  /// campaign screens X-sensitive programs out to the event-driven engine
+  /// first.  An empty vector clears the overlay.
   void set_fault_overlay(const std::vector<LaneFault>& faults);
 
   using PortRef = const nl::PortBits*;
   [[nodiscard]] PortRef input_port(const std::string& name) const;
   [[nodiscard]] PortRef output_port(const std::string& name) const;
 
-  // --- broadcast drivers (GateSim-compatible surface) ---
   /// Drives all 64 lanes with the same scalar value.
   void set_input(const std::string& name, std::uint64_t value);
   void set_input(PortRef port, std::uint64_t value);
-  /// All bits unknown on every lane (four-state only; throws otherwise).
-  void set_input_x(const std::string& name);
-  /// Four-valued broadcast; X/Z bits require four_state (throws otherwise).
-  void set_input_logic(const std::string& name, const scflow::LogicVector& bits);
-
-  // --- pattern-word drivers (64 independent stimuli) ---
-  /// Drives bit @p bit of @p port with one pattern per lane, all known.
+  /// Drives bit @p bit of @p port with one pattern per lane.
   void set_input_word(PortRef port, std::size_t bit, std::uint64_t patterns);
-  /// Four-state variant with an explicit known mask (unknown lanes get
-  /// value 0 — the masked invariant is enforced here).
-  void set_input_word(PortRef port, std::size_t bit, std::uint64_t value,
-                      std::uint64_t known);
 
   /// Settles combinational logic: one straight-line pass over the ops.
   void settle();
   /// Full clock cycle: settle, RAM writes, flat flop commit.
   void step();
 
-  // --- reads ---
-  /// Lane-0 numeric output; requires all bits known (throws on X).
+  /// Lane-0 numeric output.
   [[nodiscard]] std::uint64_t output(const std::string& name);
   [[nodiscard]] std::uint64_t output(PortRef port);
-  [[nodiscard]] scflow::LogicVector output_bits(const std::string& name,
-                                                unsigned lane = 0) const;
-  /// Packed never-throwing sample of one lane (GateSim::PortSample shape,
-  /// so the fault campaign compares reference responses type-for-type).
+  /// One lane packed in GateSim::PortSample shape (every bit known), so
+  /// the PPSFP screen compares against the GateSim reference
+  /// type-for-type.
   [[nodiscard]] GateSim::PortSample output_sample(PortRef port, unsigned lane = 0) const;
-  /// The raw 64 patterns of one output bit (and its known mask;
-  /// two-state reads return an all-ones mask).
+  /// The raw 64 patterns of one output bit.
   [[nodiscard]] std::uint64_t output_word(PortRef port, std::size_t bit) const;
-  [[nodiscard]] std::uint64_t output_known_word(PortRef port, std::size_t bit) const;
 
-  // --- GateSim-parity observability ---
-  /// Always empty: the checking RAM model is interpreter-only.
-  [[nodiscard]] const GateSim::RamViolation& ram_violations() const {
-    return no_violations_;
-  }
-  [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
-  [[nodiscard]] std::uint64_t gate_evaluations() const { return counters_.evaluations; }
-  [[nodiscard]] const SimCounters& counters() const { return counters_; }
-  [[nodiscard]] std::vector<WorkerShardStats> worker_stats() const { return {}; }
-
-  [[nodiscard]] bool four_state() const { return options_.four_state; }
-  [[nodiscard]] const CompiledProgram& program() const { return prog_; }
   /// Bytecode ops executed so far (skipped macro reads excluded).
   [[nodiscard]] std::uint64_t ops_executed() const { return ops_run_; }
-  /// 64-bit words written by those ops (two per op in four-state mode).
-  [[nodiscard]] std::uint64_t words_written() const { return words_; }
-
-  /// Per-cycle executed-ops distribution (empty unless
-  /// Options::ops_histogram) — the throughput-shape evidence behind the
-  /// flat "ops" counter.
-  [[nodiscard]] const obs::Histogram& cycle_ops() const { return cycle_ops_; }
-
-  /// Records "<prefix>.ops/.words/.cycles" counters (plus the
-  /// "<prefix>.cycle_ops" histogram when enabled) into the registry —
-  /// the obs surface of the compiled backend.
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 
  private:
   struct MacroRt {
-    std::vector<std::uint32_t> ram;  // [lane * entries + addr]; always defined
-    std::uint32_t read_ports = 0;
+    std::vector<std::uint32_t> ram;  // [lane * entries + addr]
     // Lanes written since the last settle: force port re-eval (whole word
     // without an overlay, per lane with one).
     std::uint64_t wrote_mask = 0;
   };
   struct PortRt {
-    // Settled addr+en words at the last evaluation (four-state: value
-    // words then known words) — the change detector that reproduces
-    // GateSim's event-driven port dirtiness.
+    // Settled addr+en words at the last evaluation — the change detector
+    // that reproduces GateSim's event-driven port dirtiness.
     std::vector<std::uint64_t> stash;
     bool valid = false;
   };
@@ -200,33 +128,28 @@ class CompiledSim {
     Clamp clamp;
   };
 
-  CompiledSim(const nl::Netlist& netlist, Options options, CompiledProgram own,
-              const CompiledProgram* shared);
+  CompiledSim(const nl::Netlist& netlist, CompiledProgram own, const CompiledProgram* shared);
 
-  template <bool FourState>
   void exec();
-  template <bool FourState>
   bool eval_macro_port(std::uint32_t pi);
-  bool eval_macro_port_overlay(std::uint32_t pi);
-  template <bool FourState>
   void ram_writes();
   void apply_clamp(const Clamp& c) { vals_[c.slot] = (vals_[c.slot] & ~c.mask) | c.val; }
+  /// Lane @p lane of the bus @p slots, bit b from slots[b].
+  [[nodiscard]] std::uint64_t gather(const std::vector<std::uint32_t>& slots,
+                                     unsigned lane) const;
 
   [[nodiscard]] std::size_t in_index(PortRef port) const;
   [[nodiscard]] std::size_t out_index(PortRef port) const;
-  void drive_bit(std::uint32_t slot, std::uint64_t value, std::uint64_t known);
 
   const nl::Netlist* nl_;
-  Options options_;
   CompiledProgram prog_own_;     // owned compile when not sharing
   const CompiledProgram& prog_;  // the executed program (own or shared)
   std::vector<std::uint64_t> vals_;
-  std::vector<std::uint64_t> known_;  // four-state only
   std::vector<MacroRt> macro_rt_;
   std::vector<PortRt> port_rt_;
   // Per-port data scatter scratch, sized to the widest data bus at
   // construction so the steady state never allocates.
-  std::vector<std::uint64_t> scratch_v_, scratch_k_;
+  std::vector<std::uint64_t> scratch_;
   std::unordered_map<std::string, PortRef> in_ports_, out_ports_;
 
   // Fault overlay, split by write site: externally driven / undriven
@@ -238,13 +161,7 @@ class CompiledSim {
   std::vector<Clamp> ov_settle_, ov_commit_;
   std::vector<OpClamp> ov_op_;
 
-  GateSim::RamViolation no_violations_;
-  SimCounters counters_;
-  obs::Histogram cycle_ops_;
-  std::uint64_t cycles_ = 0;
   std::uint64_t ops_run_ = 0;
-  std::uint64_t words_ = 0;
-  std::uint64_t ops_at_cycle_start_ = 0;  // watermark for the per-cycle sample
 };
 
 }  // namespace scflow::hdlsim

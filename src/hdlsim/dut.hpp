@@ -1,15 +1,16 @@
 // Device-under-test abstraction for the Fig. 9 simulations: the same
 // testbench (interpreted VM or compiled minisc modules via the cosim
 // bridge) can drive the interpreted RTL design ("RTL Verilog") or a gate
-// netlist from either synthesis flow.
+// netlist from either synthesis flow.  A testbench drives one stimulus
+// per cycle, so gate DUTs always run on the event-driven GateSim; the
+// 64-lane CompiledSim only pays off with 64 distinct patterns (PPSFP,
+// CEC pre-simulation).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "hdlsim/compiled_sim.hpp"
 #include "hdlsim/gate_sim.hpp"
 #include "hdlsim/sim_counters.hpp"
 #include "rtl/interpreter.hpp"
@@ -35,8 +36,9 @@ class Dut {
   /// Engine observability counters; engines that track fewer dimensions
   /// leave the remaining fields at zero.
   [[nodiscard]] virtual SimCounters counters() const { return {}; }
-  /// Per-worker sweep shards for engines with a parallel evaluation core;
-  /// single-threaded engines return an empty vector.
+  /// Per-worker evaluation shards for an engine that splits one
+  /// simulation across threads.  The in-tree engines all evaluate on the
+  /// calling thread and return an empty vector; wrappers forward it.
   [[nodiscard]] virtual std::vector<WorkerShardStats> worker_stats() const { return {}; }
 };
 
@@ -67,7 +69,6 @@ class GateDut final : public Dut {
   }
   std::uint64_t work_units() const override { return sim_.gate_evaluations(); }
   SimCounters counters() const override { return sim_.counters(); }
-  std::vector<WorkerShardStats> worker_stats() const override { return sim_.worker_stats(); }
   GateSim& sim() { return sim_; }
 
  private:
@@ -75,60 +76,6 @@ class GateDut final : public Dut {
   GateSim sim_;
   std::vector<GateSim::PortRef> in_handles_, out_handles_;
 };
-
-/// Gate netlist under the straight-line bit-parallel compiled simulator.
-/// Broadcast drive: all 64 pattern lanes carry the testbench stimulus, so
-/// every step simulates the pattern 64 times over — the patterns axis the
-/// compiled benches report.  Owns its netlist copy.
-class CompiledDut final : public Dut {
- public:
-  explicit CompiledDut(nl::Netlist netlist, CompiledSim::Options options = {})
-      : netlist_(std::move(netlist)), sim_(netlist_, options) {}
-  void set_input(const std::string& name, std::uint64_t value) override {
-    sim_.set_input(name, value);
-  }
-  void step() override { sim_.step(); }
-  std::uint64_t output(const std::string& name) override { return sim_.output(name); }
-  int input_handle(const std::string& name) override {
-    in_handles_.push_back(sim_.input_port(name));
-    return static_cast<int>(in_handles_.size()) - 1;
-  }
-  int output_handle(const std::string& name) override {
-    out_handles_.push_back(sim_.output_port(name));
-    return static_cast<int>(out_handles_.size()) - 1;
-  }
-  void set_input(int handle, std::uint64_t value) override {
-    sim_.set_input(in_handles_[static_cast<std::size_t>(handle)], value);
-  }
-  std::uint64_t output(int handle) override {
-    return sim_.output(out_handles_[static_cast<std::size_t>(handle)]);
-  }
-  std::uint64_t work_units() const override { return sim_.ops_executed(); }
-  SimCounters counters() const override { return sim_.counters(); }
-  CompiledSim& sim() { return sim_; }
-
- private:
-  nl::Netlist netlist_;  // must outlive (and precede) the simulator
-  CompiledSim sim_;
-  std::vector<CompiledSim::PortRef> in_handles_, out_handles_;
-};
-
-/// Builds a gate DUT on the selected backend.  The compiled backend has no
-/// checking RAM model and no reference evaluator, so options requesting
-/// either fall back to the interpreter (as does Backend::kInterpreted
-/// itself); `options.threads` only applies to the interpreter's parallel
-/// sweep — the compiled engine's parallelism is its 64 pattern lanes.
-inline std::unique_ptr<Dut> make_gate_dut(nl::Netlist netlist,
-                                          const GateSim::Options& options,
-                                          Backend backend) {
-  if (backend == Backend::kCompiled && !options.check_ram &&
-      !options.use_reference_eval) {
-    CompiledSim::Options copt;
-    copt.x_initial_flops = options.x_initial_flops;
-    return std::make_unique<CompiledDut>(std::move(netlist), copt);
-  }
-  return std::make_unique<GateDut>(std::move(netlist), options);
-}
 
 /// Word-level design under the cycle interpreter (stands in for
 /// interpreted RTL-Verilog simulation).  Owns its design copy so callers

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
 
-#include "core/thread_pool.hpp"
 #include "dtypes/bit_int.hpp"
 
 namespace scflow::hdlsim {
@@ -60,13 +58,6 @@ const std::uint8_t* cell_luts() {
 }
 
 }  // namespace
-
-// Context of one parallel sweep round: the level's word range, cut into
-// one contiguous chunk per lane.
-struct GateSim::SweepJob {
-  GateSim* self;
-  std::uint32_t wb, we, chunk;
-};
 
 GateSim::GateSim(const nl::Netlist& netlist, Options options)
     : nl_(&netlist), options_(options) {
@@ -215,8 +206,8 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
   // Levelise with one Kahn pass over the unit graph (cells were already
   // cycle-checked by combinational_topo_order; this also covers cycles
   // that thread through a macro read port).  Every unit's drivers sit at
-  // strictly lower levels — the property the (parallel) level sweep rests
-  // on: within a level, units read only already-settled nets.
+  // strictly lower levels — the property the level sweep rests on: within
+  // a level, units read only already-settled nets.
   std::vector<std::int32_t> level(units_.size(), 0);
   {
     std::vector<std::uint32_t> indeg(units_.size(), 0);
@@ -265,9 +256,9 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
 
   // Reorder units by (level, creation order), padding each level to a
   // 64-unit boundary so every level owns whole dirty-bitmap words — the
-  // invariant that lets the sweep hand a level's words to parallel lanes
-  // without masks or cross-level word sharing.  Then rebuild the macro
-  // port map and the fanout CSR against the final indices.
+  // sweep walks a level's words without masks or cross-level word
+  // sharing.  Then rebuild the macro port map and the fanout CSR against
+  // the final indices.
   {
     std::vector<std::uint32_t> perm(units_.size());
     for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<std::uint32_t>(i);
@@ -305,14 +296,7 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
 
   luts_ = cell_luts();
   dirty_words_.assign(units_.size() / 64, 0);
-
-  // Sweep lanes: one per resolved thread; the pool holds the rest of the
-  // lanes beyond the calling thread.  Deferred-macro scratch is reserved
-  // up front so the steady state never allocates.
-  const unsigned lanes = core::ThreadPool::workers_for(options_.threads) + 1;
-  lanes_ = std::vector<Lane>(lanes);
-  for (Lane& l : lanes_) l.deferred_macros.reserve(macro_ports_.size());
-  if (lanes > 1) pool_ = std::make_unique<core::ThreadPool>(lanes - 1);
+  deferred_macros_.reserve(macro_ports_.size());
 
   // Initial state: flop outputs to init (or X), every real unit and flop
   // dirty once (padding units stay permanently unmarked).
@@ -324,15 +308,6 @@ GateSim::GateSim(const nl::Netlist& netlist, Options options)
   for (std::size_t fi = 0; fi < flops_.size(); ++fi)
     mark_target_dirty(static_cast<std::uint32_t>(units_.size() + fi));
   note_queue_peak();
-}
-
-GateSim::~GateSim() = default;
-
-std::vector<WorkerShardStats> GateSim::worker_stats() const {
-  std::vector<WorkerShardStats> out;
-  out.reserve(lanes_.size());
-  for (const Lane& l : lanes_) out.push_back(l.total);
-  return out;
 }
 
 void GateSim::set_net(NetId net, Logic v) {
@@ -485,8 +460,7 @@ void GateSim::eval_macro_port(const Unit& u) {
             defined ? scflow::logic_from_bool(((word >> i) & 1u) != 0) : Logic::X);
 }
 
-template <bool Atomic>
-void GateSim::sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane) {
+GateSim::SweepTally GateSim::sweep_words(std::uint32_t wb, std::uint32_t we) {
   // Everything the inner loop touches is hoisted into locals: stores into
   // dirty_words_ are std::uint64_t writes, so member counters of the same
   // type would otherwise be reloaded around every mark.
@@ -503,14 +477,12 @@ void GateSim::sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane) {
   const auto n_flops = static_cast<std::uint32_t>(flops_.size());
   const bool ref_eval = options_.use_reference_eval;
   const std::uint32_t stuck = stuck_net_;  // kNoStuckNet when fault-free
-  std::uint64_t evals = lane.evals, pushes = lane.pushes;
+  std::uint64_t evals = 0, pushes = 0;
   for (std::uint32_t wi = wb; wi < we; ++wi) {
     std::uint64_t bits = dw[wi];
     if (bits == 0) continue;
-    // The caller owns [wb, we) exclusively for the duration of the level,
-    // and evaluating an in-level unit marks only *later* levels' words, so
-    // a plain read-and-clear consume is race-free even in the atomic
-    // instantiation — one pass per word, no re-read loop.
+    // Evaluating an in-level unit marks only *later* levels' words, so one
+    // read-and-clear consume per word suffices — no re-read loop.
     dw[wi] = 0;
     do {
       const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
@@ -519,11 +491,12 @@ void GateSim::sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane) {
       const Unit& u = units[ui];
       ++evals;
       if (u.type >= kPadUnit) [[unlikely]] {
-        // Macro read ports defer to the calling thread at the level
-        // boundary (sequential RAM-violation bookkeeping); the consumed
-        // bit still counts as this lane's work unit.  Padding units are
-        // never marked; the branch only guards against corruption.
-        if (u.type == kMacroUnit) lane.deferred_macros.push_back(ui);
+        // Macro read ports run at the level boundary, after the level's
+        // counters merge, so their marks and RAM-violation records come
+        // in ascending unit order; the consumed bit still counts as a
+        // work unit.  Padding units are never marked; the branch only
+        // guards against corruption.
+        if (u.type == kMacroUnit) deferred_macros_.push_back(ui);
         continue;
       }
       Logic out;
@@ -555,114 +528,51 @@ void GateSim::sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane) {
       // exactly like a driven value.
       if (outn == stuck) [[unlikely]]
         out = stuck_value_;
-      // Change detection: the output net belongs to this unit alone, so
-      // the read-compare-write is private even mid-round.
+      // Change detection: only a changed output marks its fanout.
       Logic& slot = vals[outn];
       if (slot == out) continue;
       slot = out;
       // Unit targets (branchless marking), then the usually-empty flop
-      // tap tail of this net's CSR range.  Atomic lanes publish marks
-      // with relaxed fetch_or — the pool join orders them before any
-      // reader — and claim the fresh 0->1 transition exactly once, which
-      // keeps the summed dirty_pushes identical to the sequential count.
+      // tap tail of this net's CSR range.
       std::uint32_t k = fo[outn];
       const std::uint32_t fm = fu[outn];
       const std::uint32_t fe = fo[outn + 1];
       for (; k < fm; ++k) {
         const std::uint32_t t = ft[k];
         const std::uint64_t m = std::uint64_t{1} << (t & 63u);
-        if constexpr (Atomic) {
-          const std::uint64_t prev =
-              std::atomic_ref<std::uint64_t>(dw[t >> 6]).fetch_or(m, std::memory_order_relaxed);
-          pushes += (prev & m) == 0 ? 1u : 0u;
-        } else {
-          std::uint64_t& w = dw[t >> 6];
-          pushes += (w & m) == 0 ? 1u : 0u;
-          w |= m;
-        }
+        std::uint64_t& w = dw[t >> 6];
+        pushes += (w & m) == 0 ? 1u : 0u;
+        w |= m;
       }
       for (; k < fe; ++k) {
         const std::uint32_t x = ft[k] - n_units;
-        if (x < n_flops) {
-          const std::uint64_t m = std::uint64_t{1} << (x & 63u);
-          if constexpr (Atomic)
-            std::atomic_ref<std::uint64_t>(fdw[x >> 6]).fetch_or(m, std::memory_order_relaxed);
-          else
-            fdw[x >> 6] |= m;
-        } else {
-          if constexpr (Atomic)
-            std::atomic_ref<bool>(oc[x - n_flops].dirty).store(true, std::memory_order_relaxed);
-          else
-            oc[x - n_flops].dirty = true;
-        }
+        if (x < n_flops)
+          fdw[x >> 6] |= std::uint64_t{1} << (x & 63u);
+        else
+          oc[x - n_flops].dirty = true;
       }
     } while (bits != 0);
   }
-  lane.evals = evals;
-  lane.pushes = pushes;
+  return {evals, pushes};
 }
 
 void GateSim::settle() {
   ++counters_.settle_calls;
   bool worked = false;
   const std::size_t n_levels = level_word_begin_.size() - 1;
-  const auto n_lanes = static_cast<std::uint32_t>(lanes_.size());
   for (std::size_t L = 0; L < n_levels; ++L) {
-    const std::uint32_t wb = level_word_begin_[L];
-    const std::uint32_t we = level_word_begin_[L + 1];
-    if (pool_ == nullptr) {
-      // Sequential: sweep the level in place (clean words cost one load).
-      sweep_words<false>(wb, we, lanes_[0]);
-      if (lanes_[0].evals == 0) continue;
-      ++lanes_[0].total.level_sweeps;
-    } else {
-      // Pre-scan decides dispatch.  It reads only the dirty state, so the
-      // decision — and everything downstream of it — is a pure function
-      // of the simulation history, not of scheduling.
-      std::uint32_t nz = 0;
-      for (std::uint32_t wi = wb; wi < we; ++wi) nz += dirty_words_[wi] != 0 ? 1u : 0u;
-      if (nz == 0) continue;
-      if (nz >= 2 * n_lanes) {
-        SweepJob job{this, wb, we, (we - wb + n_lanes - 1) / n_lanes};
-        pool_->run(
-            [](void* ctx, unsigned lane) {
-              auto* j = static_cast<SweepJob*>(ctx);
-              const std::uint32_t b = j->wb + static_cast<std::uint32_t>(lane) * j->chunk;
-              if (b >= j->we) return;
-              const std::uint32_t e = std::min(j->we, b + j->chunk);
-              j->self->sweep_words<true>(b, e, j->self->lanes_[lane]);
-            },
-            &job);
-        for (Lane& l : lanes_) ++l.total.level_sweeps;
-      } else {
-        sweep_words<false>(wb, we, lanes_[0]);
-        ++lanes_[0].total.level_sweeps;
-      }
-    }
+    // Sweep the level in place (clean words cost one load).
+    const SweepTally t = sweep_words(level_word_begin_[L], level_word_begin_[L + 1]);
+    if (t.evals == 0) continue;
     worked = true;
-    // Merge the lanes' level transients into the canonical counters.  Lane
-    // order is fixed, so the sums — and thus every reported counter — are
-    // identical no matter how the words were partitioned.
-    std::uint64_t consumed = 0;
-    for (Lane& l : lanes_) {
-      consumed += l.evals;
-      counters_.evaluations += l.evals;
-      counters_.dirty_pushes += l.pushes;
-      queued_now_ += l.pushes;
-      l.total.evaluations += l.evals;
-      l.total.dirty_pushes += l.pushes;
-      l.evals = 0;
-      l.pushes = 0;
-    }
-    queued_now_ -= consumed;
-    // Deferred macro read ports, in ascending unit order (each lane's
-    // chunk is an ascending contiguous word range, and lanes are visited
-    // in chunk order) — exactly the order the sequential sweep evaluates
-    // them in, so RAM-violation "first" bookkeeping matches bit for bit.
-    for (Lane& l : lanes_) {
-      for (const std::uint32_t ui : l.deferred_macros) eval_macro_port(units_[ui]);
-      l.deferred_macros.clear();
-    }
+    counters_.evaluations += t.evals;
+    counters_.dirty_pushes += t.pushes;
+    queued_now_ += t.pushes;
+    queued_now_ -= t.evals;
+    // Macro read ports found dirty in this level, in ascending unit
+    // order; their data-net marks land in later levels.
+    for (const std::uint32_t ui : deferred_macros_) eval_macro_port(units_[ui]);
+    deferred_macros_.clear();
     note_queue_peak();
   }
   if (worked) ++counters_.settle_passes;
@@ -767,7 +677,6 @@ void GateSim::step() {
       }
     }
     counters_.dirty_pushes += pushes;
-    lanes_[0].total.dirty_pushes += pushes;  // calling-thread marks: lane 0
     queued_now_ = qnow;
     note_queue_peak();
   }

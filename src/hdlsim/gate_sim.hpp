@@ -8,22 +8,16 @@
 // are 2-bit codes, every 0–3-input cell is one lookup in a precomputed
 // 64-entry truth table, fanout lives in a CSR (offsets + targets) layout,
 // input nets sit inline in each 10-byte evaluation unit, and the dirty
-// set is a bitmap swept one topological level at a time.
-//
-// The level sweep is (optionally) parallel and always deterministic:
-// units are laid out so every level owns whole 64-bit dirty words, a
-// level's words are partitioned across a persistent worker pool, and
-// next-level dirty bits are set with relaxed atomic-OR.  Within a level
-// every unit reads only strictly-lower-level nets and writes only its own
-// output net, so the evaluated set, the output values and the counters
-// (evaluations / dirty_pushes / ram_rereads / peak_queue_depth) are
-// bit-identical for every thread count, including 1.
+// set is a bitmap swept one topological level at a time on the calling
+// thread.  Units are laid out so every level owns whole 64-bit dirty
+// words; within a level every unit reads only strictly-lower-level nets,
+// so one forward pass per level settles it.  Parallelism lives a layer up:
+// BatchRunner fans whole simulations across lanes.
 // The original switch-based evaluator is retained behind
 // Options::use_reference_eval as the differential-testing oracle.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,10 +25,6 @@
 #include "dtypes/logic.hpp"
 #include "hdlsim/sim_counters.hpp"
 #include "netlist/netlist.hpp"
-
-namespace scflow::core {
-class ThreadPool;
-}
 
 namespace scflow::hdlsim {
 
@@ -51,11 +41,6 @@ class GateSim {
     /// instead of the packed truth-table LUTs.  Slower; kept as the
     /// reference oracle for the fuzz-equivalence tests.
     bool use_reference_eval = false;
-    /// Worker lanes for the level sweep: 1 = fully sequential (no pool),
-    /// N > 1 = persistent pool of N-1 workers plus the calling thread,
-    /// 0 = one lane per hardware thread.  Results and counters are
-    /// bit-identical for every value.
-    unsigned threads = 1;
   };
 
   struct RamViolation {
@@ -69,7 +54,6 @@ class GateSim {
   GateSim(const nl::Netlist& netlist, Options options);
   GateSim(const GateSim&) = delete;
   GateSim& operator=(const GateSim&) = delete;
-  ~GateSim();
 
   /// Resolved port handles: look the name up once, then drive/read the
   /// port every cycle without the string-keyed map lookup.
@@ -133,14 +117,6 @@ class GateSim {
   [[nodiscard]] std::uint64_t gate_evaluations() const { return counters_.evaluations; }
   [[nodiscard]] const SimCounters& counters() const { return counters_; }
 
-  /// Lanes the level sweep runs on (>= 1; resolved from Options::threads).
-  [[nodiscard]] unsigned threads() const { return static_cast<unsigned>(lanes_.size()); }
-  /// Per-lane shard of the sweep work (cumulative), for the obs worker
-  /// tracks.  Shard *sums* equal the SimCounters totals; the per-lane split
-  /// depends on the dirty-word partition, not on scheduling, so it is as
-  /// deterministic as the totals.
-  [[nodiscard]] std::vector<WorkerShardStats> worker_stats() const;
-
  private:
   struct MacroState {
     const nl::MacroInfo* info = nullptr;
@@ -168,7 +144,7 @@ class GateSim {
   // constructor rejects netlists with ≥2^16 nets), so six units share
   // each cache line the settle() sweep walks.  Unused input slots point at
   // the sentinel net (index net_count), which is never written — so the
-  // branchless 3-slot read can never race a same-level writer.
+  // 3-slot read needs no arity branch.
   // After construction the index order IS (level, creation) order, with
   // each level padded to a 64-unit boundary so it owns whole dirty words.
   struct Unit {
@@ -188,29 +164,17 @@ class GateSim {
     int init = 0;
   };
 
-  // Per-lane sweep state, cache-line separated.  `evals`/`pushes` are the
-  // current level's transients, merged into the member counters at each
-  // level boundary; `total` accumulates per-lane work for worker_stats().
-  struct alignas(64) Lane {
+  // Work one level sweep did: unit evaluations and fresh dirty marks.
+  struct SweepTally {
     std::uint64_t evals = 0;
     std::uint64_t pushes = 0;
-    // Macro read ports found dirty this level (ascending unit index):
-    // evaluated by the calling thread after the lane barrier so the RAM
-    // violation bookkeeping stays sequential and deterministic.
-    std::vector<std::uint32_t> deferred_macros;
-    WorkerShardStats total;
   };
 
-  struct SweepJob;  // parallel-round context (defined in the .cpp)
-
   void eval_macro_port(const Unit& u);
-  /// Sweeps the dirty words of one level: consumes this level's bits (the
-  /// caller guarantees exclusive ownership of [wb, we)), evaluates cells
-  /// in place and defers macro ports into @p lane.  Atomic lanes mark
-  /// descendant levels with relaxed atomic-OR; the sequential instantiation
-  /// uses plain loads/stores.  Both count identically.
-  template <bool Atomic>
-  void sweep_words(std::uint32_t wb, std::uint32_t we, Lane& lane);
+  /// Sweeps the dirty words [wb, we) of one level: consumes their bits,
+  /// evaluates cells in place and defers macro ports to deferred_macros_
+  /// (settle() evaluates them at the level boundary).
+  SweepTally sweep_words(std::uint32_t wb, std::uint32_t we);
   void set_net(nl::NetId net, scflow::Logic v);
   void mark_dirty_fanout(nl::NetId net);
   /// CSR target: unit index, or n_units + flop index for flop D/SI/SE taps.
@@ -232,9 +196,6 @@ class GateSim {
     if ((w & m) != 0) return;
     w |= m;
     ++counters_.dirty_pushes;
-    // External marks always run on the calling thread — lane 0 — so the
-    // per-lane shard sums reproduce the dirty_pushes total exactly.
-    ++lanes_[0].total.dirty_pushes;
     ++queued_now_;
   }
   void note_queue_peak() {
@@ -294,9 +255,9 @@ class GateSim {
     bool dirty = true;
   };
   std::vector<OutCache> out_cache_;
-
-  std::vector<Lane> lanes_;  // size = resolved thread count (>= 1)
-  std::unique_ptr<core::ThreadPool> pool_;  // only when threads() > 1
+  // Macro read ports found dirty in the current level (ascending unit
+  // index), reserved to the port count at construction.
+  std::vector<std::uint32_t> deferred_macros_;
 
   // Active stuck-at overlay: writers compare their output net against this
   // id (kNoStuckNet never matches a 16-bit-encodable net, so the fault-free

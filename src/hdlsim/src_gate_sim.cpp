@@ -5,7 +5,6 @@
 
 #include "dsp/time_quantizer.hpp"
 #include "dtypes/bit_int.hpp"
-#include "hdlsim/compiled_sim.hpp"
 
 namespace scflow::hdlsim {
 
@@ -18,14 +17,12 @@ std::uint64_t steady_now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+}  // namespace
 
-// The schedule driver, generic over the engine: GateSim and CompiledSim
-// share the port-handle surface this loop touches, so both backends run
-// the exact same stimulus/collection code.
-template <typename Sim>
-GateRunResult run_impl(Sim& sim, const nl::Netlist& netlist, dsp::SrcMode mode,
-                       const std::vector<dsp::SrcEvent>& events,
-                       std::uint64_t deadline_ns) {
+GateRunResult run_src_netlist(const nl::Netlist& netlist, dsp::SrcMode mode,
+                              const std::vector<dsp::SrcEvent>& events,
+                              GateSim::Options options, std::uint64_t deadline_ns) {
+  GateSim sim(netlist, options);
   sim.set_input("mode", static_cast<std::uint64_t>(mode));
   sim.set_input("in_strobe", 0);
   sim.set_input("in_left", 0);
@@ -98,24 +95,6 @@ GateRunResult run_impl(Sim& sim, const nl::Netlist& netlist, dsp::SrcMode mode,
   result.ram_violations = sim.ram_violations();
   result.counters = sim.counters();
   return result;
-}
-}  // namespace
-
-GateRunResult run_src_netlist(const nl::Netlist& netlist, dsp::SrcMode mode,
-                              const std::vector<dsp::SrcEvent>& events,
-                              GateSim::Options options, std::uint64_t deadline_ns,
-                              Backend backend) {
-  // The checking RAM model and the reference evaluator only exist in the
-  // interpreter; requesting either overrides the backend choice.
-  if (backend == Backend::kCompiled && !options.check_ram &&
-      !options.use_reference_eval) {
-    CompiledSim::Options copt;
-    copt.x_initial_flops = options.x_initial_flops;
-    CompiledSim sim(netlist, copt);
-    return run_impl(sim, netlist, mode, events, deadline_ns);
-  }
-  GateSim sim(netlist, options);
-  return run_impl(sim, netlist, mode, events, deadline_ns);
 }
 
 }  // namespace scflow::hdlsim

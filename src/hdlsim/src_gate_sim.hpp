@@ -7,7 +7,6 @@
 
 #include "dsp/src_params.hpp"
 #include "dsp/stimulus.hpp"
-#include "hdlsim/compile.hpp"
 #include "hdlsim/gate_sim.hpp"
 #include "netlist/netlist.hpp"
 
@@ -30,15 +29,9 @@ struct GateRunResult {
 /// cycles, inputs before requests); collects out_valid-toggled results.
 /// @p deadline_ns (steady-clock stamp, 0 = none) is polled every 64 cycles;
 /// on expiry the run stops and flags GateRunResult::timed_out.
-/// @p backend selects the engine; Backend::kCompiled falls back to the
-/// interpreter when the options request interpreter-only features
-/// (check_ram, use_reference_eval).  The compiled engine runs two-state
-/// (four-state when x_initial_flops) and is bit-exact with the
-/// interpreter on these fully defined schedules.
 GateRunResult run_src_netlist(const nl::Netlist& netlist, dsp::SrcMode mode,
                               const std::vector<dsp::SrcEvent>& events,
                               GateSim::Options options = GateSim::Options(),
-                              std::uint64_t deadline_ns = 0,
-                              Backend backend = Backend::kInterpreted);
+                              std::uint64_t deadline_ns = 0);
 
 }  // namespace scflow::hdlsim

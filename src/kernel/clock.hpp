@@ -14,8 +14,6 @@ class Clock : public Object {
   /// the falling edge sits at the half-period point.
   Clock(Simulation& sim, std::string name, Time period);
 
-  [[nodiscard]] const char* kind() const override { return "clock"; }
-
   [[nodiscard]] Time period() const { return period_; }
   [[nodiscard]] bool read() const { return signal_.read(); }
   [[nodiscard]] Signal<bool>& signal() { return signal_; }

@@ -37,8 +37,6 @@ class Module : public Object {
   Module(Simulation& sim, std::string name) : Object(sim, nullptr, std::move(name)) {}
   Module(Module& parent, std::string name) : Object(parent.sim(), &parent, std::move(name)) {}
 
-  [[nodiscard]] const char* kind() const override { return "module"; }
-
  protected:
   /// Registers an SC_THREAD-style fiber process.
   ProcessBuilder thread(std::string name, std::function<void()> body) {

@@ -23,9 +23,6 @@ class Object {
   [[nodiscard]] Object* parent() const { return parent_; }
   [[nodiscard]] Simulation& sim() const { return *sim_; }
 
-  /// Short description of what kind of object this is ("module", "signal"…).
-  [[nodiscard]] virtual const char* kind() const { return "object"; }
-
  private:
   Simulation* sim_;
   Object* parent_;

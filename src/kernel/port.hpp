@@ -18,7 +18,6 @@ class PortBase : public Object {
       : Object(sim, parent, std::move(name)) {
     sim.register_port(*this);
   }
-  [[nodiscard]] const char* kind() const override { return "port"; }
   [[nodiscard]] virtual bool is_bound() const = 0;
 };
 

@@ -51,7 +51,6 @@ class MethodProcess final : public ProcessBase {
 
   void execute() override { body_(); }
   [[nodiscard]] bool is_thread() const override { return false; }
-  [[nodiscard]] const char* kind() const override { return "method_process"; }
 
  private:
   std::function<void()> body_;
@@ -70,7 +69,6 @@ class ThreadProcess final : public ProcessBase {
 
   void execute() override;  // resumes the fiber
   [[nodiscard]] bool is_thread() const override { return true; }
-  [[nodiscard]] const char* kind() const override { return "thread_process"; }
 
   [[nodiscard]] bool terminated() const { return terminated_; }
 

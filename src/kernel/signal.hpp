@@ -46,8 +46,6 @@ class Signal : public Object,
         posedge_(sim, Object::name() + ".posedge"),
         negedge_(sim, Object::name() + ".negedge") {}
 
-  [[nodiscard]] const char* kind() const override { return "signal"; }
-
   [[nodiscard]] const T& read() const override { return current_; }
   /// Last written (pending) value; what the next update will publish.
   [[nodiscard]] const T& pending() const { return next_; }

@@ -1,6 +1,6 @@
 // Shared random-netlist generators for the gate-level fuzz harnesses:
-// test_fuzz_equivalence (table vs reference evaluator vs compiled
-// backend), test_compiled_sim (independent-lane differential) and
+// test_fuzz_equivalence (table vs reference evaluator),
+// test_compiled_sim (independent-lane differential) and
 // test_ppsfp (PPSFP-vs-event-driven campaign oracle) build their
 // structural netlists and four-valued stimulus from the same generators
 // so a seed means the same design everywhere.

@@ -1,24 +1,18 @@
 // The compiled bit-parallel gate backend, end to end: bytecode slot
-// layout and flop-commit staging, the macro read-port fallback regime,
-// bit-exactness against the event-driven interpreter on the synthesised
-// SRC netlists (functional schedules and the fault campaign's stimulus,
-// all five Fig. 10 designs), independent-lane semantics on random
-// netlists, the batch runner's thread-count invariance on the compiled
-// backend, and the CEC compiled pre-pass.
+// layout and flop-commit staging, two-state bit-exactness against the
+// event-driven interpreter over the fault campaign's stimulus on all five
+// Fig. 10 designs (macro read ports included), independent-lane semantics
+// on random netlists, and the CEC compiled pre-pass.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "dsp/stimulus.hpp"
 #include "fault/campaign.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "formal/cec.hpp"
-#include "hdlsim/batch_runner.hpp"
 #include "hdlsim/compile.hpp"
 #include "hdlsim/compiled_sim.hpp"
-#include "hdlsim/dut.hpp"
 #include "hdlsim/gate_sim.hpp"
-#include "hdlsim/src_gate_sim.hpp"
 #include "hls/src_beh.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist_fuzz.hpp"
@@ -27,9 +21,6 @@
 
 namespace scflow::hdlsim {
 namespace {
-
-using dsp::SrcMode;
-using P = dsp::SrcParams;
 
 nl::Netlist synthesised_src(const char* which) {
   if (std::string(which) == "beh_opt")
@@ -167,122 +158,23 @@ TEST(CompiledSimTest, FlopChainCommitsAreStaged) {
   }
 }
 
-// --- backend selection -----------------------------------------------------
-
-TEST(MakeGateDut, SelectsBackendAndFallsBackToInterpreter) {
-  const nl::Netlist n = synthesised_src("rtl_opt");
-  GateSim::Options opt;
-
-  auto compiled = make_gate_dut(n, opt, Backend::kCompiled);
-  EXPECT_NE(dynamic_cast<CompiledDut*>(compiled.get()), nullptr);
-
-  auto interpreted = make_gate_dut(n, opt, Backend::kInterpreted);
-  EXPECT_NE(dynamic_cast<GateDut*>(interpreted.get()), nullptr);
-
-  // The checking RAM model and the reference evaluator only exist in the
-  // interpreter: requesting either overrides the compiled choice.
-  GateSim::Options check_ram = opt;
-  check_ram.check_ram = true;
-  auto fallback = make_gate_dut(n, check_ram, Backend::kCompiled);
-  EXPECT_NE(dynamic_cast<GateDut*>(fallback.get()), nullptr);
-
-  GateSim::Options ref_eval = opt;
-  ref_eval.use_reference_eval = true;
-  auto fallback2 = make_gate_dut(n, ref_eval, Backend::kCompiled);
-  EXPECT_NE(dynamic_cast<GateDut*>(fallback2.get()), nullptr);
-}
-
-TEST(CompiledSrcRun, MatchesInterpreterOnSrcSchedule) {
-  const nl::Netlist gates = synthesised_src("rtl_opt");
-  const auto inputs = dsp::make_noise_stimulus(60, 11);
-  const auto ev = dsp::make_schedule(inputs, P::input_period_ps(SrcMode::k44_1To48), 60,
-                                     P::output_period_ps(SrcMode::k44_1To48));
-
-  const GateRunResult interp =
-      run_src_netlist(gates, SrcMode::k44_1To48, ev, {}, 0, Backend::kInterpreted);
-  const GateRunResult comp =
-      run_src_netlist(gates, SrcMode::k44_1To48, ev, {}, 0, Backend::kCompiled);
-
-  ASSERT_FALSE(interp.timed_out);
-  ASSERT_FALSE(comp.timed_out);
-  EXPECT_EQ(comp.cycles, interp.cycles);
-  ASSERT_EQ(comp.outputs.size(), interp.outputs.size());
-  for (std::size_t i = 0; i < interp.outputs.size(); ++i)
-    EXPECT_EQ(comp.outputs[i], interp.outputs[i]) << "output " << i;
-  EXPECT_GT(comp.counters.evaluations, 0u);
-}
-
-// check_ram requests the interpreter-only checking memory model: the
-// compiled backend must transparently fall back so the violations report
-// is identical to an interpreted run.
-TEST(CompiledSrcRun, CheckRamFallsBackToInterpreter) {
-  const nl::Netlist gates = synthesised_src("rtl_opt");
-  const auto inputs = dsp::make_noise_stimulus(40, 12);
-  const auto ev = dsp::make_schedule(inputs, P::input_period_ps(SrcMode::k44_1To48), 40,
-                                     P::output_period_ps(SrcMode::k44_1To48));
-  GateSim::Options opt;
-  opt.check_ram = true;
-
-  const GateRunResult interp =
-      run_src_netlist(gates, SrcMode::k44_1To48, ev, opt, 0, Backend::kInterpreted);
-  const GateRunResult comp =
-      run_src_netlist(gates, SrcMode::k44_1To48, ev, opt, 0, Backend::kCompiled);
-  EXPECT_EQ(comp.outputs, interp.outputs);
-  EXPECT_EQ(comp.ram_violations.count, interp.ram_violations.count);
-  // The fallback ran the event-driven engine: its queue counters are live.
-  EXPECT_EQ(comp.counters.dirty_pushes, interp.counters.dirty_pushes);
-}
-
-TEST(CompiledBatch, BitIdenticalAcrossThreadCounts) {
-  const nl::Netlist gates = synthesised_src("rtl_opt");
-  std::vector<std::vector<dsp::SrcEvent>> schedules;
-  for (int s = 0; s < 6; ++s) {
-    const auto inputs = dsp::make_noise_stimulus(30, 100 + static_cast<unsigned>(s));
-    schedules.push_back(dsp::make_schedule(inputs, P::input_period_ps(SrcMode::k44_1To48),
-                                           30, P::output_period_ps(SrcMode::k44_1To48)));
-  }
-  const std::vector<GateRunResult> base = run_src_netlist_batch(
-      gates, SrcMode::k44_1To48, schedules, {}, 1, nullptr, 0, Backend::kCompiled);
-  // The single-lane compiled batch must agree with the interpreter...
-  const std::vector<GateRunResult> interp =
-      run_src_netlist_batch(gates, SrcMode::k44_1To48, schedules, {}, 1);
-  ASSERT_EQ(base.size(), interp.size());
-  for (std::size_t j = 0; j < base.size(); ++j)
-    EXPECT_EQ(base[j].outputs, interp[j].outputs) << "job " << j;
-  // ...and with itself for every lane count.
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    const std::vector<GateRunResult> got = run_src_netlist_batch(
-        gates, SrcMode::k44_1To48, schedules, {}, threads, nullptr, 0, Backend::kCompiled);
-    ASSERT_EQ(got.size(), base.size());
-    for (std::size_t j = 0; j < base.size(); ++j) {
-      EXPECT_EQ(got[j].outputs, base[j].outputs) << threads << " lanes, job " << j;
-      EXPECT_EQ(got[j].cycles, base[j].cycles) << threads << " lanes, job " << j;
-    }
-  }
-}
-
 // --- fault-campaign stimulus parity ----------------------------------------
 
-// The campaign's reference backend rests on this: over the exact campaign
-// stimulus (scan shifts included) the four-state compiled engine must
-// reproduce the interpreter's output_sample() masks bit for bit, on every
-// Fig. 10 design, X power-up included.
+// The PPSFP screen rests on this: over the exact campaign stimulus (scan
+// shifts included) and the defined power-up state, the two-state compiled
+// engine must reproduce the interpreter's output_sample() bit for bit —
+// every sample fully known — on every Fig. 10 design.
 TEST(CompiledCampaignParity, AllFigureTenDesigns) {
   for (const char* which : {"vhdl_ref", "beh_unopt", "beh_opt", "rtl_unopt", "rtl_opt"}) {
     const nl::Netlist n = synthesised_src(which);
     fault::CampaignOptions copt;
     copt.max_faults = 1;
-    copt.x_initial_flops = true;
     copt.functional_cycles = 24;
     const auto stimulus = fault::build_campaign_stimulus(n, copt);
     ASSERT_FALSE(stimulus.empty()) << which;
 
-    GateSim::Options gopt;
-    gopt.x_initial_flops = true;
-    GateSim interp(n, gopt);
-    CompiledSim::Options sopt;
-    sopt.x_initial_flops = true;
-    CompiledSim comp(n, sopt);
+    GateSim interp(n);
+    CompiledSim comp(n);
 
     std::vector<GateSim::PortRef> ins, outs;
     for (const nl::PortBits& p : n.inputs()) ins.push_back(&p);
@@ -300,31 +192,10 @@ TEST(CompiledCampaignParity, AllFigureTenDesigns) {
         const GateSim::PortSample b = comp.output_sample(out);
         ASSERT_EQ(a.known, b.known)
             << which << " cycle " << c << " output " << out->name << " known mask";
-        ASSERT_EQ(a.value & a.known, b.value & b.known)
-            << which << " cycle " << c << " output " << out->name;
+        ASSERT_EQ(a.value, b.value) << which << " cycle " << c << " output " << out->name;
       }
     }
   }
-}
-
-// End-to-end: a campaign with the compiled reference backend classifies
-// every fault exactly like the interpreted reference.
-TEST(CompiledCampaignParity, CampaignResultsMatchInterpretedReference) {
-  const nl::Netlist n = synthesised_src("rtl_opt");
-  fault::CampaignOptions opt;
-  opt.max_faults = 24;
-  opt.functional_cycles = 16;
-  opt.x_initial_flops = true;
-
-  const fault::CampaignResult interp = fault::run_campaign(n, opt);
-  opt.reference_backend = Backend::kCompiled;
-  const fault::CampaignResult comp = fault::run_campaign(n, opt);
-
-  ASSERT_EQ(comp.faults.size(), interp.faults.size());
-  for (std::size_t i = 0; i < interp.faults.size(); ++i)
-    EXPECT_TRUE(comp.faults[i] == interp.faults[i]) << "fault " << i;
-  EXPECT_EQ(comp.detected, interp.detected);
-  EXPECT_EQ(comp.oscillating, interp.oscillating);
 }
 
 // --- independent pattern lanes ---------------------------------------------
@@ -373,59 +244,7 @@ TEST(CompiledLanes, IndependentLanesMatchScalarRuns) {
   }
 }
 
-// Fully defined stimulus: the four-state engine must collapse to the
-// two-state engine's words with an all-ones known mask.
-TEST(CompiledLanes, FourStateMatchesTwoStateOnDefinedStimulus) {
-  for (int seed = 0; seed < 10; ++seed) {
-    std::mt19937_64 rng(0xBEEF0000u + static_cast<unsigned>(seed));
-    const nl::Netlist n = random_gate_netlist(rng);
-
-    CompiledSim two(n);
-    CompiledSim::Options fopt;
-    fopt.four_state = true;
-    CompiledSim four(n, fopt);
-
-    for (int cycle = 0; cycle < 6; ++cycle) {
-      for (const nl::PortBits& in : n.inputs()) {
-        const auto p2 = two.input_port(in.name);
-        const auto p4 = four.input_port(in.name);
-        for (std::size_t b = 0; b < in.nets.size(); ++b) {
-          const std::uint64_t w = rng();
-          two.set_input_word(p2, b, w);
-          four.set_input_word(p4, b, w);
-        }
-      }
-      two.step();
-      four.step();
-      for (const nl::PortBits& out : n.outputs()) {
-        const auto p2 = two.output_port(out.name);
-        const auto p4 = four.output_port(out.name);
-        for (std::size_t b = 0; b < out.nets.size(); ++b) {
-          ASSERT_EQ(four.output_known_word(p4, b), ~0ull) << "seed " << seed;
-          ASSERT_EQ(four.output_word(p4, b), two.output_word(p2, b)) << "seed " << seed;
-          ASSERT_EQ(two.output_known_word(p2, b), ~0ull);
-        }
-      }
-    }
-  }
-}
-
-// --- observability and error paths -----------------------------------------
-
-TEST(CompiledSimTest, RecordsObsCounters) {
-  const nl::Netlist n = synthesised_src("rtl_opt");
-  CompiledSim sim(n);
-  for (const nl::PortBits& p : n.inputs()) sim.set_input(p.name, 0);
-  for (int i = 0; i < 5; ++i) sim.step();
-
-  obs::Registry reg;
-  sim.record_into(reg, "compiled.src");
-  EXPECT_EQ(reg.counter("compiled.src.cycles"), 5u);
-  EXPECT_GT(reg.counter("compiled.src.ops"), 0u);
-  EXPECT_EQ(reg.counter("compiled.src.words"), reg.counter("compiled.src.ops"));
-  EXPECT_EQ(sim.ops_executed(), reg.counter("compiled.src.ops"));
-  EXPECT_EQ(sim.gate_evaluations(), sim.ops_executed());
-}
+// --- error paths -----------------------------------------------------------
 
 TEST(CompiledSimTest, ErrorPaths) {
   nl::Netlist n("tiny");
@@ -434,29 +253,14 @@ TEST(CompiledSimTest, ErrorPaths) {
   n.add_output("y", {n.add_cell(nl::CellType::kInv, {a})});
   nl::Netlist other = n;
 
-  CompiledSim two(n);
-  EXPECT_THROW(two.set_input_x("a"), std::invalid_argument);
-  LogicVector xv(1);
-  xv.set(0, Logic::X);
-  EXPECT_THROW(two.set_input_logic("a", xv), std::invalid_argument);
-  EXPECT_THROW((void)two.input_port("nope"), std::invalid_argument);
-  EXPECT_THROW((void)two.output_port("a"), std::invalid_argument);
-
-  // Four-state: X propagates, numeric output() refuses it, sample masks it.
-  CompiledSim::Options fopt;
-  fopt.four_state = true;
-  CompiledSim four(n, fopt);
-  four.set_input_x("a");
-  four.settle();
-  EXPECT_THROW((void)four.output("y"), std::runtime_error);
-  EXPECT_EQ(four.output_sample(four.output_port("y")).known, 0u);
-  four.set_input("a", 1);
-  four.settle();
-  EXPECT_EQ(four.output("y"), 0u);
+  CompiledSim sim(n);
+  EXPECT_THROW((void)sim.input_port("nope"), std::invalid_argument);
+  EXPECT_THROW((void)sim.output_port("a"), std::invalid_argument);
 
   // Port handles from another netlist are rejected, not misread.
   CompiledSim foreign(other);
-  EXPECT_THROW((void)two.set_input(foreign.input_port("a"), 1), std::invalid_argument);
+  EXPECT_THROW((void)sim.set_input(foreign.input_port("a"), 1), std::invalid_argument);
+  EXPECT_THROW((void)sim.output_word(foreign.output_port("y"), 0), std::invalid_argument);
 }
 
 // --- CEC pre-pass ----------------------------------------------------------

@@ -49,14 +49,17 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace scflow::hdlsim {
 namespace {
 
-void run_alloc_check(const GateSim::Options& opts) {
+TEST(GateSimAllocation, SteadyStateHotPathIsAllocationFree) {
+#if defined(SCFLOW_ASAN)
+  GTEST_SKIP() << "global operator new counting is incompatible with ASan";
+#endif
   rtl::PassOptions popt;
   const rtl::Design optimised = rtl::run_passes(rtl::build_src_design(rtl::rtl_opt_config()), popt);
   nl::Netlist gates = nl::lower_to_gates(optimised, {});
   gates = nl::optimize_gates(gates);
   nl::insert_scan_chain(gates);
 
-  GateSim sim(gates, opts);
+  GateSim sim(gates);
   // Resolve every port handle up front — name lookups build no strings
   // afterwards — and drive all inputs so no X lingers on control paths.
   const auto p_mode = sim.input_port("mode");
@@ -104,27 +107,6 @@ void run_alloc_check(const GateSim::Options& opts) {
   EXPECT_EQ(sim.counters().steady_state_allocs, 0u);
   EXPECT_GT(sim.counters().evaluations, 0u);
   (void)sink;
-}
-
-TEST(GateSimAllocation, SteadyStateHotPathIsAllocationFree) {
-#if defined(SCFLOW_ASAN)
-  GTEST_SKIP() << "global operator new counting is incompatible with ASan";
-#endif
-  run_alloc_check(GateSim::Options{});
-}
-
-TEST(GateSimAllocation, WarmWorkerPoolStaysAllocationFree) {
-#if defined(SCFLOW_ASAN)
-  GTEST_SKIP() << "global operator new counting is incompatible with ASan";
-#endif
-  // The pool threads and the per-lane scratch are allocated at
-  // construction; dispatching a sweep round must be a mutex/condvar
-  // handshake only (raw function pointer + context, no std::function
-  // boxing), so the threaded steady state allocates exactly as much as
-  // the sequential one: nothing.
-  GateSim::Options opts;
-  opts.threads = 2;
-  run_alloc_check(opts);
 }
 
 }  // namespace

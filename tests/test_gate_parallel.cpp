@@ -1,15 +1,13 @@
-// Differential determinism harness for the parallel gate-level engine:
-// the levelized worker-pool sweep and the sharded batch runner must be
-// *invisible* — for any thread count, every output trace, every counter
-// and every RAM-violation record must be bit-identical to the sequential
-// engine.  These tests pin that contract (and the peak_queue_depth
-// semantics under sharding) on random soups, a hand-built wide netlist
-// that provably takes the parallel dispatch path, and the synthesised SRC
-// design.  Run them under -DSCFLOW_SANITIZE=thread to turn the same
-// assertions into a race hunt.
+// The gate level's only parallel axis, the sharded batch runner, must be
+// *invisible*: for any lane count every job's output trace and counters
+// are bit-identical to a sequential run of the same schedule.  These
+// tests pin that contract on the synthesised SRC design, plus the job
+// deadlines and the dynamic job claiming, and hand-predicted GateSim
+// queue counters (dirty_pushes / peak_queue_depth sampling) on a wide
+// single-level netlist.  Run them under -DSCFLOW_SANITIZE=thread to turn
+// the same assertions into a race hunt.
 #include <gtest/gtest.h>
 
-#include <random>
 #include <string>
 #include <vector>
 
@@ -29,109 +27,6 @@ namespace {
 using dsp::SrcMode;
 using P = dsp::SrcParams;
 
-/// Random structural netlist, biased *wide*: enough cells that several
-/// levels span multiple 64-unit dirty words, so the sweep has something
-/// to partition.  Acyclic by construction except flop feedback.
-nl::Netlist random_wide_netlist(std::mt19937_64& rng) {
-  auto rnd = [&rng](int lo, int hi) {
-    return lo + static_cast<int>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
-  };
-  nl::Netlist n("parfuzz");
-  std::vector<nl::NetId> pool;
-
-  const int n_inputs = rnd(2, 4);
-  for (int i = 0; i < n_inputs; ++i) {
-    std::vector<nl::NetId> nets;
-    const int w = rnd(4, 16);
-    for (int b = 0; b < w; ++b) nets.push_back(n.new_net());
-    pool.insert(pool.end(), nets.begin(), nets.end());
-    n.add_input("in" + std::to_string(i), std::move(nets));
-  }
-  pool.push_back(n.const_net(false));
-  pool.push_back(n.const_net(true));
-
-  auto pick = [&]() {
-    return pool[static_cast<std::size_t>(rnd(0, static_cast<int>(pool.size()) - 1))];
-  };
-
-  std::vector<std::size_t> flop_cells;
-  const int n_flops = rnd(2, 16);
-  for (int f = 0; f < n_flops; ++f) {
-    flop_cells.push_back(n.cells().size());
-    pool.push_back(n.add_cell(nl::CellType::kDff, {pick()}, static_cast<int>(rng() & 1)));
-  }
-
-  static constexpr nl::CellType kComb[] = {
-      nl::CellType::kBuf,  nl::CellType::kInv,   nl::CellType::kAnd2,
-      nl::CellType::kOr2,  nl::CellType::kNand2, nl::CellType::kNor2,
-      nl::CellType::kXor2, nl::CellType::kXnor2, nl::CellType::kMux2,
-  };
-  const int n_cells = rnd(300, 700);
-  for (int i = 0; i < n_cells; ++i) {
-    const nl::CellType t = kComb[static_cast<std::size_t>(rnd(0, 8))];
-    std::vector<nl::NetId> ins;
-    for (int k = 0; k < nl::cell_input_count(t); ++k) ins.push_back(pick());
-    pool.push_back(n.add_cell(t, std::move(ins)));
-  }
-  for (const std::size_t ci : flop_cells)
-    for (nl::NetId& in : n.cells_mut()[ci].inputs) in = pick();
-
-  const int n_outs = rnd(2, 4);
-  for (int o = 0; o < n_outs; ++o) {
-    std::vector<nl::NetId> nets;
-    const int w = rnd(2, 8);
-    for (int b = 0; b < w; ++b) nets.push_back(pick());
-    n.add_output("out" + std::to_string(o), std::move(nets));
-  }
-  return n;
-}
-
-LogicVector random_logic_vector(std::mt19937_64& rng, std::size_t width, bool allow_xz) {
-  LogicVector v(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    const auto r = rng() % 8;
-    Logic b = logic_from_bool((r & 1) != 0);
-    if (allow_xz && r == 6) b = Logic::X;
-    if (allow_xz && r == 7) b = Logic::Z;
-    v.set(i, b);
-  }
-  return v;
-}
-
-/// One full run: per-cycle four-valued output trace, plus the final
-/// counters and per-lane shards.  The stimulus stream depends only on
-/// @p stim_seed, so runs with different thread counts see identical input.
-struct RunTrace {
-  std::vector<std::string> trace;
-  SimCounters counters;
-  std::vector<WorkerShardStats> shards;
-  unsigned lanes = 0;
-};
-
-RunTrace run_trace(const nl::Netlist& n, unsigned threads, unsigned stim_seed) {
-  std::mt19937_64 rng(stim_seed);
-  GateSim::Options opts;
-  opts.threads = threads;
-  GateSim sim(n, opts);
-  RunTrace rt;
-  rt.lanes = sim.threads();
-  for (int cycle = 0; cycle < 16; ++cycle) {
-    for (const auto& in : n.inputs())
-      sim.set_input_logic(in.name, random_logic_vector(rng, in.nets.size(), cycle > 2));
-    sim.settle();
-    std::string snap;
-    for (const auto& out : n.outputs()) {
-      snap += sim.output_bits(out.name).to_string();
-      snap += '|';
-    }
-    rt.trace.push_back(std::move(snap));
-    sim.step();
-  }
-  rt.counters = sim.counters();
-  rt.shards = sim.worker_stats();
-  return rt;
-}
-
 void expect_same_counters(const SimCounters& a, const SimCounters& b, const std::string& ctx) {
   EXPECT_EQ(a.evaluations, b.evaluations) << ctx;
   EXPECT_EQ(a.dirty_pushes, b.dirty_pushes) << ctx;
@@ -142,44 +37,11 @@ void expect_same_counters(const SimCounters& a, const SimCounters& b, const std:
   EXPECT_EQ(a.steady_state_allocs, b.steady_state_allocs) << ctx;
 }
 
-class ParallelDeterminism : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelDeterminism, BitIdenticalAcrossThreadCounts) {
-  const auto seed = 0xBEEF0000u + static_cast<unsigned>(GetParam());
-  std::mt19937_64 rng(seed);
-  const nl::Netlist n = random_wide_netlist(rng);
-  const unsigned stim_seed = seed ^ 0x57117u;
-
-  const RunTrace ref = run_trace(n, 1, stim_seed);
-  ASSERT_EQ(ref.lanes, 1u);
-  EXPECT_EQ(ref.counters.steady_state_allocs, 0u);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    const RunTrace got = run_trace(n, threads, stim_seed);
-    const std::string ctx = "seed " + std::to_string(seed) + " threads " + std::to_string(threads);
-    ASSERT_EQ(got.lanes, threads) << ctx;
-    ASSERT_EQ(got.trace, ref.trace) << ctx;
-    expect_same_counters(got.counters, ref.counters, ctx);
-    // Shard sums must reproduce the totals exactly: every eval and every
-    // fresh push is owned by exactly one lane.
-    std::uint64_t evals = 0, pushes = 0;
-    ASSERT_EQ(got.shards.size(), threads) << ctx;
-    for (const WorkerShardStats& s : got.shards) {
-      evals += s.evaluations;
-      pushes += s.dirty_pushes;
-    }
-    EXPECT_EQ(evals, got.counters.evaluations) << ctx;
-    EXPECT_EQ(pushes, got.counters.dirty_pushes) << ctx;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminism, ::testing::Range(0, 6));
-
-TEST(ParallelDeterminism, WideSingleLevelTakesTheParallelPathAndPinsCounters) {
-  // 1200 inverters off one input: a single level of 19 dirty words, which
-  // with 8 lanes clears the (>= 2 * lanes) parallel-dispatch threshold.
+TEST(GateSimCounters, WideSingleLevelPinsQueueCounters) {
+  // 1200 inverters off one input: a single level of 19 dirty words.
   // Counter values are hand-predictable, which pins the peak_queue_depth
-  // semantics under sharding: the high-water mark is sampled per external
-  // mark batch and per level, never per shard.
+  // semantics: the high-water mark is sampled per external mark batch and
+  // per level boundary, never mid-level.
   constexpr unsigned kInvs = 1200;
   nl::Netlist n("wide");
   const nl::NetId a = n.new_net();
@@ -188,41 +50,21 @@ TEST(ParallelDeterminism, WideSingleLevelTakesTheParallelPathAndPinsCounters) {
   for (unsigned i = 0; i < kInvs; ++i) outs.push_back(n.add_cell(nl::CellType::kInv, {a}));
   n.add_output("out", {outs[0], outs[kInvs / 2], outs[kInvs - 1]});
 
-  auto run = [&](unsigned threads) {
-    GateSim::Options opts;
-    opts.threads = threads;
-    GateSim sim(n, opts);
-    EXPECT_EQ(sim.counters().dirty_pushes, kInvs);        // construction marks all
-    EXPECT_EQ(sim.counters().peak_queue_depth, kInvs);    // batch sample
-    sim.set_input("a", 0);
-    sim.settle();
-    EXPECT_EQ(sim.counters().evaluations, kInvs);
-    sim.set_input("a", 1);  // re-marks every inverter
-    sim.settle();
-    EXPECT_EQ(sim.counters().evaluations, 2 * kInvs);
-    EXPECT_EQ(sim.counters().dirty_pushes, 2 * kInvs);
-    EXPECT_EQ(sim.counters().peak_queue_depth, kInvs);
-    EXPECT_EQ(sim.counters().steady_state_allocs, 0u);
-    EXPECT_EQ(sim.output("out"), 0u);
-    return sim.worker_stats();
-  };
-
-  const auto seq = run(1);
-  ASSERT_EQ(seq.size(), 1u);
-  EXPECT_EQ(seq[0].evaluations, 2 * kInvs);
-
-  const auto par = run(8);
-  ASSERT_EQ(par.size(), 8u);
-  unsigned busy = 0;
-  std::uint64_t evals = 0;
-  for (const auto& s : par) {
-    busy += s.evaluations > 0 ? 1 : 0;
-    evals += s.evaluations;
-  }
-  EXPECT_EQ(evals, 2 * kInvs);
-  // 19 words in chunks of ceil(19/8)=3 puts real work on 7 of 8 lanes —
-  // the parallel dispatch demonstrably ran, and ran deterministically.
-  EXPECT_GE(busy, 2u);
+  GateSim sim(n);
+  EXPECT_EQ(sim.counters().dirty_pushes, kInvs);      // construction marks all
+  EXPECT_EQ(sim.counters().peak_queue_depth, kInvs);  // batch sample
+  sim.set_input("a", 0);
+  sim.settle();
+  EXPECT_EQ(sim.counters().evaluations, kInvs);
+  sim.set_input("a", 1);  // re-marks every inverter
+  sim.settle();
+  EXPECT_EQ(sim.counters().evaluations, 2 * kInvs);
+  EXPECT_EQ(sim.counters().dirty_pushes, 2 * kInvs);
+  EXPECT_EQ(sim.counters().peak_queue_depth, kInvs);
+  EXPECT_EQ(sim.counters().settle_calls, 2u);
+  EXPECT_EQ(sim.counters().settle_passes, 2u);
+  EXPECT_EQ(sim.counters().steady_state_allocs, 0u);
+  EXPECT_EQ(sim.output("out"), 0u);
 }
 
 nl::Netlist synthesise_src() {
@@ -236,21 +78,6 @@ nl::Netlist synthesise_src() {
 std::vector<dsp::SrcEvent> schedule(SrcMode mode, std::size_t samples, std::uint64_t seed) {
   const auto inputs = dsp::make_noise_stimulus(samples, seed);
   return dsp::make_schedule(inputs, P::input_period_ps(mode), samples, P::output_period_ps(mode));
-}
-
-TEST(ParallelDeterminism, SynthesisedSrcNetlistMatchesSequential) {
-  const nl::Netlist gates = synthesise_src();
-  const auto ev = schedule(SrcMode::k48To48, 25, 21);
-  GateSim::Options opts;
-  const auto ref = run_src_netlist(gates, SrcMode::k48To48, ev, opts);
-  opts.threads = 4;
-  const auto got = run_src_netlist(gates, SrcMode::k48To48, ev, opts);
-  ASSERT_EQ(got.outputs.size(), ref.outputs.size());
-  for (std::size_t i = 0; i < ref.outputs.size(); ++i)
-    ASSERT_EQ(got.outputs[i], ref.outputs[i]) << "output " << i;
-  EXPECT_EQ(got.cycles, ref.cycles);
-  EXPECT_EQ(got.ram_violations.count, ref.ram_violations.count);
-  expect_same_counters(got.counters, ref.counters, "src threads=4");
 }
 
 TEST(BatchRunner, ShardedBatchMatchesSequentialJobs) {
@@ -279,18 +106,6 @@ TEST(BatchRunner, ShardedBatchMatchesSequentialJobs) {
   for (unsigned l = 0; l < 4; ++l)
     lane_jobs += session.registry.counter("gate_batch.lane" + std::to_string(l) + ".jobs");
   EXPECT_EQ(lane_jobs, schedules.size());
-}
-
-TEST(WorkerShardStats, RecordIntoEmitsPerLaneCounters) {
-  obs::Session session;
-  WorkerShardStats s;
-  s.evaluations = 10;
-  s.dirty_pushes = 7;
-  s.level_sweeps = 3;
-  s.record_into(session.registry, "gate.worker1");
-  EXPECT_EQ(session.registry.counter("gate.worker1.evaluations"), 10u);
-  EXPECT_EQ(session.registry.counter("gate.worker1.dirty_pushes"), 7u);
-  EXPECT_EQ(session.registry.counter("gate.worker1.level_sweeps"), 3u);
 }
 
 TEST(BatchRunner, JobContextDeadlineExpiresAndMarksTimedOut) {

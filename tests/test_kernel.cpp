@@ -344,7 +344,6 @@ TEST(Hierarchy, FullNamesFollowParentChain) {
   EXPECT_EQ(top.c.full_name(), "top.child");
   EXPECT_EQ(top.c.sig.full_name(), "top.child.sig");
   EXPECT_EQ(sim.find_object("top.child.sig"), &top.c.sig);
-  EXPECT_STREQ(top.c.sig.kind(), "signal");
 }
 
 TEST(Scheduler, RunUntilStopsAtBoundary) {

@@ -48,14 +48,17 @@ TEST(SrcDesigns, RegisterBitsReflectArchitecture) {
   EXPECT_GT(ref.register_bits, unopt.register_bits);
 }
 
+// The architecture is a std::string, not a const char*: gtest prints the
+// parameter into the discovered ctest name, and a pointer would put its
+// load address there, so the name would change from build to build.
 class SrcDesignEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, SrcMode>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, SrcMode>> {};
 
 TEST_P(SrcDesignEquivalence, MatchesQuantisedGolden) {
-  const auto [which, mode] = GetParam();
+  const auto& [which, mode] = GetParam();
   SrcArchConfig cfg;
-  if (std::string(which) == "rtl_opt") cfg = rtl_opt_config();
-  else if (std::string(which) == "rtl_unopt") cfg = rtl_unopt_config();
+  if (which == "rtl_opt") cfg = rtl_opt_config();
+  else if (which == "rtl_unopt") cfg = rtl_unopt_config();
   else cfg = vhdl_ref_config();
 
   const auto ev = schedule(mode, 260, 17);
