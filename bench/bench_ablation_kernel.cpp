@@ -81,15 +81,12 @@ void Kernel_MethodActivations(benchmark::State& state) {
 }
 
 /// Clock generation plus one clocked method — the per-cycle floor every
-/// RTL/behavioural model pays.  Parameterised by the instrumentation flag:
-/// comparing the two rows measures the full cost of the obs::Probe
-/// counters on the kernel hot path (acceptance target: < 3 %).
-void clocked_method_cycle(benchmark::State& state, bool instrumented) {
+/// RTL/behavioural model pays.
+void Kernel_ClockedMethodCycle(benchmark::State& state) {
   std::uint64_t total = 0;
   for (auto _ : state) {
     state.PauseTiming();
     Simulation sim;
-    sim.set_instrumentation(instrumented);
     Clock clk(sim, "clk", Time::ns(40));
     std::uint64_t edges = 0;
 
@@ -107,13 +104,6 @@ void clocked_method_cycle(benchmark::State& state, bool instrumented) {
   }
   state.counters["cyc_per_s"] =
       benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
-}
-
-void Kernel_ClockedMethodCycle(benchmark::State& state) {
-  clocked_method_cycle(state, true);
-}
-void Kernel_ClockedMethodCycle_NoInstrumentation(benchmark::State& state) {
-  clocked_method_cycle(state, false);
 }
 
 /// Signal write+update+notification cost.
@@ -148,7 +138,6 @@ void Kernel_SignalUpdates(benchmark::State& state) {
 BENCHMARK(Kernel_ThreadPingPong)->Unit(benchmark::kMillisecond);
 BENCHMARK(Kernel_MethodActivations)->Unit(benchmark::kMillisecond);
 BENCHMARK(Kernel_ClockedMethodCycle)->Unit(benchmark::kMillisecond);
-BENCHMARK(Kernel_ClockedMethodCycle_NoInstrumentation)->Unit(benchmark::kMillisecond);
 BENCHMARK(Kernel_SignalUpdates)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -6,7 +6,7 @@
 // With `--ledger FILE` / `--trace FILE` every proof also records into the
 // process telemetry session: one run-ledger entry per check (input hashes,
 // options fingerprint, SAT effort counters, per-call conflict histogram)
-// plus the "<bench>.sat_call_conflicts" histogram in the registry.
+// and one trace slice.
 #include <benchmark/benchmark.h>
 
 #include "bench_json_main.hpp"
@@ -22,8 +22,8 @@ namespace {
 
 using namespace scflow;
 
-// Telemetry routing: benches pass the shared session registry (nullptr
-// when --ledger/--trace are absent, keeping the timed loop bare) and a
+// Telemetry routing: benches pass the shared session (nullptr when
+// --ledger/--trace are absent, keeping the timed loop bare) and a
 // per-bench metric prefix so ledger entries name the check they came from.
 formal::CecOptions with_prefix(formal::CecOptions opt, const char* prefix) {
   opt.metric_prefix = prefix;
@@ -50,7 +50,7 @@ void cec_opt_bench(benchmark::State& state, const rtl::Design& raw,
   const nl::Netlist post = nl::optimize_gates(pre);
   formal::CecResult res;
   for (auto _ : state) {
-    res = formal::check_equivalence(pre, post, benchutil::telemetry_registry(),
+    res = formal::check_equivalence(pre, post, benchutil::telemetry_session(),
                                     with_prefix({}, prefix));
     if (!res.equivalent()) state.SkipWithError("not equivalent");
     benchmark::DoNotOptimize(res);
@@ -71,7 +71,7 @@ void cec_opt_stress_bench(benchmark::State& state, const rtl::Design& design,
   const nl::Netlist post = nl::optimize_gates(pre);
   formal::CecResult res;
   for (auto _ : state) {
-    res = formal::check_equivalence(pre, post, benchutil::telemetry_registry(),
+    res = formal::check_equivalence(pre, post, benchutil::telemetry_session(),
                                     with_prefix({}, prefix));
     if (!res.equivalent()) state.SkipWithError("not equivalent");
     benchmark::DoNotOptimize(res);
@@ -87,7 +87,7 @@ void cec_scan_bench(benchmark::State& state, const rtl::Design& design,
   formal::CecResult res;
   for (auto _ : state) {
     res = formal::check_equivalence(
-        pre, post, benchutil::telemetry_registry(),
+        pre, post, benchutil::telemetry_session(),
         with_prefix(formal::CecOptions::scan_modulo(), prefix));
     if (!res.equivalent()) state.SkipWithError("not equivalent");
     benchmark::DoNotOptimize(res);
@@ -101,7 +101,7 @@ void cec_rtl_bench(benchmark::State& state, const rtl::Design& design,
   formal::CecResult res;
   for (auto _ : state) {
     res = formal::check_rtl_vs_netlist(design, gates,
-                                       benchutil::telemetry_registry(),
+                                       benchutil::telemetry_session(),
                                        with_prefix({}, prefix));
     if (!res.equivalent()) state.SkipWithError("not equivalent");
     benchmark::DoNotOptimize(res);

@@ -4,17 +4,17 @@
 // chain) and once against the pre-scan twin — and the coverage delta is
 // reported as the testability value of scan insertion.
 //
-// `--json FILE` writes the unified scflow-obs-2 report: per-design
-// "fault.<design>.scan.*" / ".noscan.*" counters (population, detected,
-// budget-degraded, oscillating, faulty cycles) plus the batch-runner lane
-// timelines.  `--threads N` sets the campaign lane count (coverage numbers
-// are bit-identical for any N — that determinism is itself under test in
-// the tier-1 suite).  `--faults N` bounds the sampled faults per design.
+// `--threads N` sets the campaign lane count (coverage numbers are
+// bit-identical for any N — that determinism is itself under test in the
+// tier-1 suite).  `--faults N` bounds the sampled faults per design.
 //
 // `--trace FILE` / `--ledger FILE` turn on run telemetry: campaign root
 // spans with per-fault batch jobs hanging off them land in a Perfetto
-// trace (chrome://tracing / ui.perfetto.dev), and each campaign appends
-// one run-ledger entry (counters, coverage, per-fault cycle histogram).
+// trace (chrome://tracing / ui.perfetto.dev), and the run ledger gets one
+// "fault" entry per campaign — "<design>.scan" / "<design>.noscan" with
+// population, enumeration, detected, budget-degraded, oscillating,
+// faulty cycles, coverage and the per-fault cycle histogram — plus the
+// "synth" and "fig10" entries of each design's synthesis.
 //
 // `--engine event-driven|ppsfp` selects the campaign engine (PPSFP packs
 // 64 faults per compiled run and drops each at its first detection).
@@ -35,8 +35,8 @@
 
 namespace {
 
-// Registry-friendly slug of an AreaRow label ("RTL opt." -> "rtl_opt"),
-// matching the fig10.<slug> metric names.
+// Slug of an AreaRow label ("RTL opt." -> "rtl_opt"), matching the
+// design names of the fig10 ledger entries.
 std::string row_slug(const std::string& label) {
   std::string s;
   for (char c : label) {
@@ -87,17 +87,13 @@ bool write_gbench_json(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path, trace_path, ledger_path, gbench_path;
+  std::string trace_path, ledger_path, gbench_path;
   std::string engine = "event-driven";
   unsigned threads = 1;
   std::size_t max_faults = 120;
   int repeat = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
@@ -127,7 +123,7 @@ int main(int argc, char** argv) {
       repeat = std::max(1, static_cast<int>(std::strtol(argv[i] + 9, nullptr, 10)));
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--json FILE] [--trace FILE] [--ledger FILE] "
+                   "usage: %s [--trace FILE] [--ledger FILE] "
                    "[--threads N] [--faults N] "
                    "[--engine event-driven|ppsfp] "
                    "[--gbench-json FILE] [--repeat N]\n",
@@ -142,9 +138,8 @@ int main(int argc, char** argv) {
   }
 
   scflow::obs::Session session;
-  // Spans, histograms and ledger entries only when asked for: the default
-  // run keeps the campaign loop uninstrumented (counters still accrue in
-  // the registry — they always did).
+  // Spans and ledger entries only when asked for: the default run keeps
+  // the campaign loop uninstrumented.
   const bool telemetry = !trace_path.empty() || !ledger_path.empty();
   scflow::flow::FaultOptions fopt;
   fopt.run = true;
@@ -153,10 +148,10 @@ int main(int argc, char** argv) {
   fopt.campaign.engine = engine == "ppsfp"
                              ? scflow::fault::CampaignOptions::Engine::kPpsfp
                              : scflow::fault::CampaignOptions::Engine::kEventDriven;
-  fopt.session = telemetry ? &session : nullptr;
   std::vector<std::vector<scflow::flow::AreaRow>> sweeps;
   for (int rep = 0; rep < repeat; ++rep)
-    sweeps.push_back(scflow::flow::figure10_area_rows(&session.registry, {}, fopt));
+    sweeps.push_back(
+        scflow::flow::figure10_area_rows(telemetry ? &session : nullptr, {}, fopt));
   const auto& rows = sweeps.front();
   std::printf("%s", scflow::flow::format_fault_table(rows).c_str());
 
@@ -174,13 +169,12 @@ int main(int argc, char** argv) {
     std::printf("gbench json: %s\n", gbench_path.c_str());
   }
 
-  if (!json_path.empty() || telemetry) {
+  if (telemetry) {
     session.ledger.meta = scflow::obs::collect_run_metadata(argv[0]);
-    if (!session.dump(json_path, trace_path, ledger_path)) {
+    if (!session.dump(trace_path, ledger_path)) {
       std::fprintf(stderr, "error: cannot write telemetry artifacts\n");
       return 1;
     }
-    if (!json_path.empty()) std::printf("metrics report: %s\n", json_path.c_str());
     if (!trace_path.empty()) std::printf("perfetto trace: %s\n", trace_path.c_str());
     if (!ledger_path.empty()) std::printf("run ledger: %s\n", ledger_path.c_str());
   }

@@ -7,11 +7,11 @@
 // Paper values: BEH unopt 127.5 %, the optimised SystemC implementations
 // *below* 100 %, even RTL-unopt below the reference, comb(BEH opt) ~
 // comb(RTL opt), RTL savings from registers.
-// `--json FILE` writes the unified scflow-obs-2 report: per-design synthesis
-// pass timings, pass-by-pass cell deltas, scan flops, HLS scheduling stats
-// and the area gauges that build the table below.  `--ledger FILE` appends
-// one run-ledger entry per design synthesis (input/output netlist hashes,
-// cell deltas) for scflow_report to render and diff.
+// `--ledger FILE` writes the run ledger for scflow_report to render and
+// diff: one "synth" entry per design synthesis (input/output netlist
+// hashes, pass-by-pass cell deltas, scan flops, per-pass wall times) and
+// one "fig10" entry per design (the area gauges that build the table
+// below, flops, HLS scheduling stats).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -20,25 +20,21 @@
 #include "obs/session.hpp"
 
 int main(int argc, char** argv) {
-  std::string json_path, ledger_path;
+  std::string ledger_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--ledger") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--ledger") == 0 && i + 1 < argc) {
       ledger_path = argv[++i];
     } else if (std::strncmp(argv[i], "--ledger=", 9) == 0) {
       ledger_path = argv[i] + 9;
     } else {
-      std::fprintf(stderr, "usage: %s [--json FILE] [--ledger FILE]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--ledger FILE]\n", argv[0]);
       return 2;
     }
   }
 
   scflow::obs::Session session;
-  scflow::obs::Registry& registry = session.registry;
-  const auto rows = scflow::flow::figure10_area_rows(&registry);
+  const auto rows =
+      scflow::flow::figure10_area_rows(ledger_path.empty() ? nullptr : &session);
   std::printf("%s", scflow::flow::format_area_table(rows).c_str());
 
   std::printf("\npaper (DATE 2004, 0.25u, Synopsys):   measured (this substrate):\n");
@@ -54,14 +50,13 @@ int main(int argc, char** argv) {
       rows[2].sequential_pct > rows[4].sequential_pct;
   std::printf("\nFig. 10 shape holds: %s\n", shape_holds ? "yes" : "NO");
 
-  if (!json_path.empty() || !ledger_path.empty()) {
+  if (!ledger_path.empty()) {
     session.ledger.meta = scflow::obs::collect_run_metadata(argv[0]);
-    if (!session.dump(json_path, {}, ledger_path)) {
-      std::fprintf(stderr, "error: cannot write telemetry artifacts\n");
+    if (!session.ledger.write(ledger_path)) {
+      std::fprintf(stderr, "error: cannot write %s\n", ledger_path.c_str());
       return 1;
     }
-    if (!json_path.empty()) std::printf("metrics report: %s\n", json_path.c_str());
-    if (!ledger_path.empty()) std::printf("run ledger: %s\n", ledger_path.c_str());
+    std::printf("run ledger: %s\n", ledger_path.c_str());
   }
   return shape_holds ? 0 : 1;
 }

@@ -48,14 +48,14 @@ const rtl::Design& rtl_design() {
 const nl::Netlist& gates_beh() {
   static const nl::Netlist n =
       flow::synthesize_to_gates(hls::build_beh_src_design(hls::beh_opt_config()),
-                                nullptr, benchutil::telemetry_registry(),
+                                nullptr, benchutil::telemetry_session(),
                                 "fig9.synth.beh_opt");
   return n;
 }
 const nl::Netlist& gates_rtl() {
   static const nl::Netlist n =
       flow::synthesize_to_gates(rtl_design(), nullptr,
-                                benchutil::telemetry_registry(),
+                                benchutil::telemetry_session(),
                                 "fig9.synth.rtl_opt");
   return n;
 }

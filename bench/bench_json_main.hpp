@@ -14,10 +14,10 @@
 // scheduler noise (the trajectory script's extraction does exactly that).
 //
 // `--ledger FILE` / `--trace FILE` turn on run telemetry: an obs::Session
-// is created for the process, benches that support it route engine calls
-// through its registry (see telemetry_session()), and the run ledger /
-// Perfetto trace are written after the benchmarks finish.  Off by
-// default — the pinned bench metrics measure the uninstrumented loop.
+// is created for the process, benches that support it pass it into engine
+// calls (see telemetry_session()), and the run ledger / Perfetto trace
+// are written after the benchmarks finish.  Off by default — the pinned
+// bench metrics measure the uninstrumented loop.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -54,14 +54,9 @@ inline std::unique_ptr<obs::Session>& session_slot() {
 inline unsigned requested_threads() { return detail::threads_slot(); }
 
 /// The process-wide telemetry session, or nullptr when neither --ledger
-/// nor --trace was given.  Benches pass its registry into engine calls so
-/// ledger entries / histograms / spans accumulate across iterations.
+/// nor --trace was given.  Benches pass it into engine calls so ledger
+/// entries, trace slices and spans accumulate across iterations.
 inline obs::Session* telemetry_session() { return detail::session_slot().get(); }
-/// Convenience: the session's registry, or nullptr when telemetry is off.
-inline obs::Registry* telemetry_registry() {
-  obs::Session* s = telemetry_session();
-  return s != nullptr ? &s->registry : nullptr;
-}
 
 inline int run_benchmark_main(int argc, char** argv) {
   std::vector<std::string> args(argv, argv + argc);
@@ -117,7 +112,7 @@ inline int run_benchmark_main(int argc, char** argv) {
 
   if (obs::Session* s = telemetry_session(); s != nullptr) {
     s->ledger.meta = meta;
-    if (!s->dump({}, detail::trace_path_slot(), detail::ledger_path_slot()))
+    if (!s->dump(detail::trace_path_slot(), detail::ledger_path_slot()))
       std::fprintf(stderr, "%s: failed to write telemetry artifacts\n", tool.c_str());
   }
   benchmark::Shutdown();

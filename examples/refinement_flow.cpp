@@ -3,13 +3,13 @@
 // bit accuracy, and the time-quantisation effect (Fig. 7) is shown as the
 // single value-changing step in the chain.
 //
-// Usage: refinement_flow [--report FILE] [--trace FILE] [--ledger FILE]
-//   --report FILE   write the unified metric report (scflow-obs-2 JSON)
+// Usage: refinement_flow [--trace FILE] [--ledger FILE]
 //   --trace FILE    write a Chrome trace-event timeline (chrome://tracing,
 //                   Perfetto "open trace file")
 //   --ledger FILE   append run-ledger entries (scflow-ledger-1 JSONL): one
-//                   per simulated level and per verified refinement step,
-//                   for tools/scflow_report to render and diff
+//                   per simulated level (kernel counters, per-process
+//                   activations) and per verified refinement step, for
+//                   tools/scflow_report to render and diff
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -19,17 +19,14 @@
 int main(int argc, char** argv) {
   using namespace scflow;
 
-  std::string report_path, trace_path, ledger_path;
+  std::string trace_path, ledger_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
-      report_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--ledger") == 0 && i + 1 < argc) {
       ledger_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--report FILE] [--trace FILE] [--ledger FILE]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--trace FILE] [--ledger FILE]\n", argv[0]);
       return 2;
     }
   }
@@ -52,20 +49,19 @@ int main(int argc, char** argv) {
   std::printf("the algorithmic and channel levels only work per sample event —\n");
   std::printf("the mechanism behind the paper's Fig. 8 performance ladder.\n");
 
-  if (!report_path.empty() || !trace_path.empty() || !ledger_path.empty()) {
+  if (!trace_path.empty() || !ledger_path.empty()) {
     session.ledger.meta = obs::collect_run_metadata(argv[0]);
-    bool ok = session.dump(report_path, trace_path);
+    bool ok = session.dump(trace_path);
     // Append, so one ledger file can collect a whole flow run across
     // tools (refinement_flow, then synthesis_flow, ...) — the header is
     // only written when the file starts empty.
     if (!ledger_path.empty())
       ok = session.ledger.write(ledger_path, /*append=*/true) && ok;
     if (!ok) {
-      std::fprintf(stderr, "error: failed to write report/trace/ledger output\n");
+      std::fprintf(stderr, "error: failed to write trace/ledger output\n");
       return 1;
     }
-    if (!report_path.empty()) std::printf("\nmetrics report: %s\n", report_path.c_str());
-    if (!trace_path.empty()) std::printf("timeline trace: %s\n", trace_path.c_str());
+    if (!trace_path.empty()) std::printf("\ntimeline trace: %s\n", trace_path.c_str());
     if (!ledger_path.empty()) std::printf("run ledger: %s\n", ledger_path.c_str());
   }
   return report.all_steps_verified() ? 0 : 1;

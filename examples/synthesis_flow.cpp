@@ -6,7 +6,7 @@
 //
 // With --cec, every netlist refinement step (gate optimisation, scan
 // insertion) is formally proven equivalence-preserving; per-design check
-// stats are printed from the "fig10.<design>.cec.*" metrics.
+// stats are printed from the "fig10.<design>.cec.opt|scan" ledger entries.
 //
 // With --ledger FILE, one run-ledger entry per design synthesis (and per
 // CEC proof under --cec) is *appended* to FILE — the same JSONL a prior
@@ -53,26 +53,32 @@ int main(int argc, char** argv) {
 
   std::printf("=== Synthesis flow: Fig. 10 area comparison ===\n\n");
   obs::Session session;
-  obs::Registry& reg = session.registry;
   flow::SynthesisOptions opts;
   opts.verify_cec = verify_cec;
-  const auto rows = flow::figure10_area_rows(&reg, opts);
+  const auto rows = flow::figure10_area_rows(&session, opts);
   std::printf("%s\n", flow::format_area_table(rows).c_str());
 
   if (verify_cec) {
+    // One counter of the "cec" entry a check appended under @p design.
+    const auto cec = [&session](const std::string& design, const char* counter) {
+      for (const obs::LedgerEntry& e : session.ledger.entries())
+        if (e.phase == "cec" && e.design == design) return e.counter(counter);
+      return std::uint64_t{0};
+    };
     std::printf("formal gates: every opt/scan refinement step proven by CEC\n");
     std::printf("%-12s %14s %14s %10s %10s\n", "design", "opt bits", "scan bits",
                 "sat calls", "conflicts");
     for (const char* slug :
          {"vhdl_ref", "beh_unopt", "beh_opt", "rtl_unopt", "rtl_opt"}) {
-      const std::string p = std::string("fig10.") + slug;
+      const std::string opt = std::string("fig10.") + slug + ".cec.opt";
+      const std::string scan = std::string("fig10.") + slug + ".cec.scan";
       std::printf("%-12s %14llu %14llu %10llu %10llu\n", slug,
-                  static_cast<unsigned long long>(reg.counter(p + ".cec.opt.compare_bits")),
-                  static_cast<unsigned long long>(reg.counter(p + ".cec.scan.compare_bits")),
-                  static_cast<unsigned long long>(reg.counter(p + ".cec.opt.sat_calls") +
-                                                  reg.counter(p + ".cec.scan.sat_calls")),
-                  static_cast<unsigned long long>(reg.counter(p + ".cec.opt.sat_conflicts") +
-                                                  reg.counter(p + ".cec.scan.sat_conflicts")));
+                  static_cast<unsigned long long>(cec(opt, "compare_bits")),
+                  static_cast<unsigned long long>(cec(scan, "compare_bits")),
+                  static_cast<unsigned long long>(cec(opt, "sat_calls") +
+                                                  cec(scan, "sat_calls")),
+                  static_cast<unsigned long long>(cec(opt, "sat_conflicts") +
+                                                  cec(scan, "sat_conflicts")));
     }
     std::printf("\n");
   }
@@ -88,7 +94,8 @@ int main(int argc, char** argv) {
   }
   {
     nl::GateOptStats stats;
-    const nl::Netlist gates = flow::synthesize_to_gates(design, &stats, &reg, "synth", opts);
+    const nl::Netlist gates =
+        flow::synthesize_to_gates(design, &stats, &session, "synth", opts);
     std::ofstream f(gates_path);
     f << vlog::write_structural(gates);
     std::printf("wrote gate-level structural Verilog -> %s\n", gates_path.c_str());

@@ -71,20 +71,20 @@ echo "== chaos: seeded fault-injection soak (32 seeds) + snapshot round-trip =="
 # fire at least once.  Then the crash-consistency gate: a mid-stream
 # snapshot restored at a different lane count must continue
 # byte-identically, and corrupted images must be rejected with a
-# diagnostic.  Finally the src_serve driver writes a service ledger and
-# metric report into build/chaos/ (CI uploads it) — NOT build/obs/,
-# which the obs pass wipes — and scflow_report validates the ledger.
+# diagnostic.  Finally the src_serve driver writes a service ledger into
+# build/chaos/ (CI uploads it) — NOT build/obs/, which the obs pass
+# wipes — and scflow_report validates it.
 ctest --test-dir build --no-tests=error --output-on-failure \
   -R '^(ChaosDeterminism\..*|Snapshot\.(RoundTripContinuesBitIdentically|CorruptImagesAreRejectedWithDiagnostics))$'
 CHAOS_DIR="$(pwd)/build/chaos"
 rm -rf "$CHAOS_DIR" && mkdir -p "$CHAOS_DIR"
 build/tools/src_serve --sessions 48 --samples 400 --seed 1 \
-  --ledger "$CHAOS_DIR/chaos_ledger.jsonl" --report "$CHAOS_DIR/chaos_report.json" >/dev/null
+  --ledger "$CHAOS_DIR/chaos_ledger.jsonl" >/dev/null
 build/tools/scflow_report validate "$CHAOS_DIR/chaos_ledger.jsonl" >/dev/null
 RAN_PASSES+=("chaos")
 
 echo "== obs: run ledger determinism + scflow_report render/diff gate =="
-# One flow run = refinement_flow (report + Perfetto trace + ledger), then
+# One flow run = refinement_flow (Perfetto trace + ledger), then
 # synthesis_flow --cec appending to the same ledger JSONL.  Two such runs
 # must produce ledgers that scflow_report diff calls metric-identical —
 # timestamps and durations are excluded by the schema's "_ns" rule, every
@@ -94,12 +94,12 @@ OBS_DIR="$(pwd)/build/obs"
 rm -rf "$OBS_DIR" && mkdir -p "$OBS_DIR"
 export SCFLOW_GIT_REV="$(git rev-parse HEAD)"
 for run in a b; do
-  build/examples/refinement_flow --report "$OBS_DIR/report_$run.json" \
+  build/examples/refinement_flow \
     --trace "$OBS_DIR/trace_$run.json" --ledger "$OBS_DIR/ledger_$run.jsonl" >/dev/null
   (cd build/examples && ./synthesis_flow --cec --ledger "$OBS_DIR/ledger_$run.jsonl" >/dev/null)
 done
 build/tools/scflow_report validate "$OBS_DIR"/ledger_a.jsonl "$OBS_DIR"/ledger_b.jsonl \
-  "$OBS_DIR"/report_a.json "$OBS_DIR"/trace_a.json
+  "$OBS_DIR"/trace_a.json
 build/tools/scflow_report show "$OBS_DIR/ledger_a.jsonl" >/dev/null
 build/tools/scflow_report diff "$OBS_DIR/ledger_a.jsonl" "$OBS_DIR/ledger_b.jsonl"
 RAN_PASSES+=("obs")

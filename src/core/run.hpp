@@ -27,7 +27,7 @@ enum class RefinementLevel {
 
 [[nodiscard]] const char* level_name(RefinementLevel level);
 /// Short machine-readable name ("cpp", "channel", "beh_opt", ...) used as
-/// the registry/JSON key for the level.
+/// the design name of the level's ledger entry.
 [[nodiscard]] const char* level_slug(RefinementLevel level);
 [[nodiscard]] bool level_is_clocked(RefinementLevel level);
 

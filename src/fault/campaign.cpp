@@ -9,7 +9,6 @@
 #include "hdlsim/batch_runner.hpp"
 #include "hdlsim/compiled_sim.hpp"
 #include "hdlsim/gate_sim.hpp"
-#include "obs/registry.hpp"
 #include "obs/session.hpp"
 
 namespace scflow::fault {
@@ -142,61 +141,31 @@ std::vector<std::vector<std::uint64_t>> build_campaign_stimulus(
   return std::move(prog.cycles);
 }
 
-void CampaignResult::record_into(obs::Registry& reg, std::string_view prefix) const {
-  const std::string p(prefix);
-  reg.set_counter(p + ".sites", list.sites);
-  reg.set_counter(p + ".raw", list.raw);
-  reg.set_counter(p + ".collapsed", list.collapsed);
-  reg.set_counter(p + ".population", population);
-  reg.set_counter(p + ".simulated", faults.size());
-  reg.set_counter(p + ".detected", detected);
-  reg.set_counter(p + ".undetected", undetected);
-  reg.set_counter(p + ".undetected_budget", undetected_budget);
-  reg.set_counter(p + ".oscillating", oscillating);
-  reg.set_counter(p + ".stimulus_cycles", stimulus_cycles);
-  reg.set_counter(p + ".faulty_cycles", faulty_cycles_total);
-  reg.set_counter(p + ".observe_points", observe_ports.size());
-  reg.set_counter(p + ".scan_used", scan_used ? 1 : 0);
-  reg.set_counter(p + ".ppsfp_dropped", ppsfp_dropped);
-  reg.set_counter(p + ".ppsfp_fallback_faults", ppsfp_fallback);
-  reg.set_gauge(p + ".coverage_pct", coverage_pct());
-}
-
 CampaignResult run_campaign(const nl::Netlist& n, const CampaignOptions& options,
                             obs::Session* session) {
   FaultListStats stats;
-  std::vector<Fault> faults = enumerate_stuck_faults(n, &stats);
-  const std::size_t population = faults.size();
-  faults = sample_faults(faults, options.max_faults);
-  CampaignResult r = run_campaign(n, faults, options, session);
-  r.list = stats;
-  r.population = population;
-  // The inner overload recorded with the sampled list standing in for the
-  // population; overwrite those counters with the real enumeration figures.
-  if (session != nullptr) {
-    const std::string prefix =
-        options.metric_prefix.empty() ? "fault." + n.name() : options.metric_prefix;
-    r.record_into(session->registry, prefix);
-  }
-  return r;
+  const std::vector<Fault> faults = enumerate_stuck_faults(n, &stats);
+  return run_campaign(n, sample_faults(faults, options.max_faults), options, session,
+                      &stats);
 }
 
 CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faults,
-                            const CampaignOptions& options, obs::Session* session) {
+                            const CampaignOptions& options, obs::Session* session,
+                            const FaultListStats* enumeration) {
   const std::string prefix =
       options.metric_prefix.empty() ? "fault." + n.name() : options.metric_prefix;
-  std::optional<obs::Registry::ScopedTimer> campaign_timer;
-  if (session != nullptr) campaign_timer.emplace(session->registry.time_scope(prefix));
-  const std::uint64_t t0_steady = steady_now_ns();
-  // Root span of the campaign's fan-out: reserved up front so every batch
-  // job span can parent-link to it, added (with its real extent) below.
+  // Root span of the campaign's fan-out — its trace slice and wall time:
+  // reserved up front so every batch job span can parent-link to it,
+  // added (with its real extent) below.
   const std::uint64_t root_span =
       session != nullptr ? session->spans.reserve_id() : 0;
   const std::uint64_t trace_t0 = session != nullptr ? session->trace.now_ns() : 0;
 
   CampaignResult result;
   result.design = n.name();
-  result.population = faults.size();
+  if (enumeration != nullptr) result.list = *enumeration;
+  result.population =
+      enumeration != nullptr ? enumeration->raw - enumeration->collapsed : faults.size();
 
   const Program prog = build_program(n, options);
   const Observer obs_points = make_observer(n);
@@ -357,30 +326,24 @@ CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faul
   for (const FaultResult& fr : result.faults) fault_cycles.record(fr.cycles);
 
   if (session != nullptr) {
-    result.record_into(session->registry, prefix);
-    session->registry.merge_histogram(prefix + ".fault_cycles", fault_cycles);
-    if (use_ppsfp) {
-      // Which stimulus cycle dropped each bit-parallel fault — the
-      // fault-dropping evidence.  Registry-only (like the ppsfp_* counters
-      // record_into adds): the ledger entry below stays engine-invariant,
-      // so cross-engine `scflow_report diff` is clean modulo timing.
-      obs::Histogram dropped_at;
-      for (const std::size_t fi : plan.parallel)
-        if (result.faults[fi].klass == FaultClass::kDetected)
-          dropped_at.record(result.faults[fi].detect_cycle);
-      session->registry.merge_histogram(prefix + ".ppsfp_dropped_at", dropped_at);
-    }
-    session->spans.add({root_span, 0, prefix, "fault", trace_t0,
-                        session->trace.now_ns(), 0});
+    const std::uint64_t trace_t1 = session->trace.now_ns();
+    session->spans.add({root_span, 0, prefix, "fault", trace_t0, trace_t1, 0});
     runner.record_into(*session, prefix + ".batch", root_span);
 
+    // The entry stays engine-invariant (no ppsfp_* accounting), so a
+    // cross-engine `scflow_report diff` is clean modulo timing.
     obs::LedgerEntry entry;
     entry.phase = "fault";
     entry.design = prefix.rfind("fault.", 0) == 0 ? prefix.substr(6) : prefix;
     entry.input_hash = nl::content_hash(n);
     entry.options_fingerprint = campaign_fingerprint(options);
-    entry.duration_ns = steady_now_ns() - t0_steady;
+    entry.duration_ns = trace_t1 - trace_t0;
     entry.add_counter("population", result.population);
+    if (enumeration != nullptr) {
+      entry.add_counter("sites", enumeration->sites);
+      entry.add_counter("raw", enumeration->raw);
+      entry.add_counter("collapsed", enumeration->collapsed);
+    }
     entry.add_counter("simulated", result.faults.size());
     entry.add_counter("detected", result.detected);
     entry.add_counter("undetected", result.undetected);

@@ -16,14 +16,12 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "netlist/netlist.hpp"
 
 namespace scflow::obs {
-class Registry;
 struct Session;
 }  // namespace scflow::obs
 
@@ -67,7 +65,8 @@ struct CampaignOptions {
   /// Drive scan ports when the netlist has them (off: treat as functional
   /// inputs tied low — the scan-stripped baseline).
   bool use_scan = true;
-  /// Metric prefix for record_into / session recording; empty = use
+  /// Labels the campaign's session telemetry — its trace spans, and its
+  /// "fault" ledger entry with any leading "fault." dropped; empty = use
   /// "fault.<netlist name>".
   std::string metric_prefix;
   /// Faulty-machine engine.  kPpsfp batches up to 64 faults per compiled
@@ -104,7 +103,9 @@ struct FaultResult {
 
 struct CampaignResult {
   std::string design;
-  FaultListStats list;            ///< enumeration bookkeeping
+  /// Enumeration bookkeeping; all zero when the caller handed in a list
+  /// without its enumeration.
+  FaultListStats list;
   std::size_t population = 0;     ///< collapsed fault-list size
   bool scan_used = false;
   std::uint64_t stimulus_cycles = 0;  ///< program length (= good-run cycles)
@@ -118,7 +119,8 @@ struct CampaignResult {
   std::uint64_t faulty_cycles_total = 0;
   /// PPSFP engine accounting (0 under kEventDriven): faults detected —
   /// and therefore dropped — on the bit-parallel path, and faults that
-  /// fell back to the event-driven overlay.
+  /// fell back to the event-driven overlay.  Engine-specific, so kept out
+  /// of the ledger entry, which stays engine-invariant.
   std::size_t ppsfp_dropped = 0;
   std::size_t ppsfp_fallback = 0;
 
@@ -128,23 +130,25 @@ struct CampaignResult {
     return faults.empty() ? 0.0 : 100.0 * static_cast<double>(detected) /
                                       static_cast<double>(faults.size());
   }
-
-  /// Records counters ("<prefix>.detected", ...) and the coverage gauge
-  /// ("<prefix>.coverage_pct") into the unified registry.
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };
 
 /// Enumerates (collapsed, optionally sampled per options.max_faults) and
-/// simulates the stuck-at faults of @p n.  With @p session, records
-/// metrics and the per-fault batch timeline under the metric prefix.
+/// simulates the stuck-at faults of @p n.  With @p session, appends one
+/// "fault" ledger entry (population, enumeration, classification counts,
+/// coverage, per-fault cycle histogram) and the campaign's root span
+/// with one child span per batch job.
 CampaignResult run_campaign(const nl::Netlist& n, const CampaignOptions& options = {},
                             scflow::obs::Session* session = nullptr);
 
 /// Same, over a caller-supplied fault list (already collapsed/sampled) —
 /// the flow uses this to compare scan vs no-scan variants of one design
-/// over the identical fault universe.
+/// over the identical fault universe.  Pass the @p enumeration the list
+/// was drawn from so the result and the ledger entry report the real
+/// population and enumeration figures; without it the list stands in for
+/// the population.
 CampaignResult run_campaign(const nl::Netlist& n, const std::vector<Fault>& faults,
                             const CampaignOptions& options = {},
-                            scflow::obs::Session* session = nullptr);
+                            scflow::obs::Session* session = nullptr,
+                            const FaultListStats* enumeration = nullptr);
 
 }  // namespace scflow::fault

@@ -4,7 +4,6 @@
 
 #include "hdlsim/gate_sim.hpp"
 #include "kernel/vcd.hpp"
-#include "obs/registry.hpp"
 #include "obs/session.hpp"
 
 namespace scflow::fault {
@@ -33,24 +32,48 @@ bool hard_diff(const GateSim::PortSample& a, const GateSim::PortSample& b) {
   return (a.known & b.known & (a.value ^ b.value)) != 0;
 }
 
-}  // namespace
-
-void SeuResult::record_into(obs::Registry& reg, std::string_view prefix) const {
-  const std::string p(prefix);
-  reg.set_counter(p + ".trials", trials.size());
-  reg.set_counter(p + ".injected", injected);
-  reg.set_counter(p + ".skipped_x", skipped_x);
-  reg.set_counter(p + ".diverged", diverged);
-  reg.set_counter(p + ".recovered", recovered);
-  reg.set_counter(p + ".silent", silent);
-  reg.set_gauge(p + ".divergence_pct",
-                injected == 0 ? 0.0
-                              : 100.0 * static_cast<double>(diverged) /
-                                    static_cast<double>(injected));
+/// Fingerprint of the options that change what the trials compute (the
+/// VCD path only adds a waveform dump).
+std::uint64_t seu_fingerprint(const SeuOptions& o) {
+  obs::Fnv1a h;
+  h.update_str("seu-options-v1");
+  h.update_u64(o.seed);
+  h.update_u64(static_cast<std::uint64_t>(o.warmup_cycles));
+  h.update_u64(static_cast<std::uint64_t>(o.functional_cycles));
+  h.update_u64(static_cast<std::uint64_t>(o.injections));
+  h.update_u64(static_cast<std::uint64_t>(o.recovery_window));
+  h.update_u64(o.x_initial_flops ? 1 : 0);
+  return h.digest();
 }
+
+/// Appends the campaign's "seu" ledger entry and closes its trace slice.
+void record(obs::Session& session, const nl::Netlist& n, const SeuOptions& o,
+            const SeuResult& r, std::uint64_t start_ns) {
+  const std::string prefix = o.metric_prefix.empty() ? "seu." + n.name() : o.metric_prefix;
+  obs::LedgerEntry e;
+  e.phase = "seu";
+  e.design = prefix.rfind("seu.", 0) == 0 ? prefix.substr(4) : prefix;
+  e.input_hash = nl::content_hash(n);
+  e.options_fingerprint = seu_fingerprint(o);
+  e.add_counter("trials", r.trials.size());
+  e.add_counter("injected", r.injected);
+  e.add_counter("skipped_x", r.skipped_x);
+  e.add_counter("diverged", r.diverged);
+  e.add_counter("recovered", r.recovered);
+  e.add_counter("silent", r.silent);
+  e.add_gauge("divergence_pct",
+              r.injected == 0 ? 0.0
+                              : 100.0 * static_cast<double>(r.diverged) /
+                                    static_cast<double>(r.injected));
+  e.duration_ns = session.end_slice(prefix, start_ns);
+  session.ledger.append(std::move(e));
+}
+
+}  // namespace
 
 SeuResult run_seu_campaign(const nl::Netlist& n, const SeuOptions& options,
                            obs::Session* session) {
+  const std::uint64_t t0 = session != nullptr ? session->trace.now_ns() : 0;
   SeuResult result;
   result.design = n.name();
   for (const nl::PortBits& p : n.outputs()) result.observe_ports.push_back(p.name);
@@ -86,11 +109,7 @@ SeuResult run_seu_campaign(const nl::Netlist& n, const SeuOptions& options,
   }
 
   if (flop_count == 0 || options.functional_cycles <= 0 || options.injections <= 0) {
-    if (session != nullptr) {
-      const std::string prefix =
-          options.metric_prefix.empty() ? "seu." + n.name() : options.metric_prefix;
-      result.record_into(session->registry, prefix);
-    }
+    if (session != nullptr) record(*session, n, options, result, t0);
     return result;
   }
 
@@ -184,11 +203,7 @@ SeuResult run_seu_campaign(const nl::Netlist& n, const SeuOptions& options,
     if (vcd.good()) result.vcd_written = options.vcd_path;
   }
 
-  if (session != nullptr) {
-    const std::string prefix =
-        options.metric_prefix.empty() ? "seu." + n.name() : options.metric_prefix;
-    result.record_into(session->registry, prefix);
-  }
+  if (session != nullptr) record(*session, n, options, result, t0);
   return result;
 }
 

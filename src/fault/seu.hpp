@@ -8,13 +8,11 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace scflow::obs {
-class Registry;
 struct Session;
 }  // namespace scflow::obs
 
@@ -36,7 +34,8 @@ struct SeuOptions {
   /// capture and writes `<port>.good` / `<port>.faulty` (plus `.known`
   /// companions) waveforms here.
   std::string vcd_path;
-  /// Metric prefix for session recording; empty = "seu.<netlist name>".
+  /// Labels the "seu" ledger entry (any leading "seu." dropped) and its
+  /// trace slice; empty = "seu.<netlist name>".
   std::string metric_prefix;
 };
 
@@ -62,13 +61,13 @@ struct SeuResult {
   std::size_t silent = 0;      ///< injected but never observable (masked)
   std::string vcd_written;     ///< path of the divergence dump, if any
   std::string first_divergent_net;  ///< output port name of the first diff
-
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };
 
 /// Runs `options.injections` seeded upset trials against @p n.  Fully
 /// deterministic: the stimulus and the (flop, cycle) schedule are pure
-/// functions of (netlist ports, options.seed).
+/// functions of (netlist ports, options.seed).  With @p session, appends
+/// one "seu" ledger entry (trial outcome counts, divergence percentage)
+/// and emits the campaign's trace slice.
 SeuResult run_seu_campaign(const nl::Netlist& n, const SeuOptions& options = {},
                            scflow::obs::Session* session = nullptr);
 

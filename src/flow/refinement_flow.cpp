@@ -1,8 +1,6 @@
 #include "flow/refinement_flow.hpp"
 
-#include <chrono>
 #include <iomanip>
-#include <optional>
 #include <sstream>
 
 #include "dsp/stimulus.hpp"
@@ -15,13 +13,6 @@ using model::RunResult;
 using P = dsp::SrcParams;
 
 namespace {
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 RefinementStep compare(const std::string& from, const std::string& to,
                        const RunResult& a, const RunResult& b) {
@@ -55,11 +46,6 @@ RefinementReport run_refinement_flow(dsp::SrcMode mode, std::size_t samples,
                                          P::output_period_ps(mode));
 
   RefinementReport rep;
-  obs::Registry* reg = session != nullptr ? &session->registry : nullptr;
-  if (reg != nullptr) {
-    reg->set_gauge("flow.samples", static_cast<double>(samples));
-    reg->set_gauge("flow.events", static_cast<double>(events.size()));
-  }
   // Stimulus identity shared by every ledger entry of this flow run.
   obs::Fnv1a stim_h;
   stim_h.update_str("refinement-flow-stimulus-v1");
@@ -68,68 +54,56 @@ RefinementReport run_refinement_flow(dsp::SrcMode mode, std::size_t samples,
   stim_h.update_u64(events.size());
   const std::uint64_t stimulus_hash = stim_h.digest();
   // Runs one level, timed as a "level:<slug>" trace slice, and records its
-  // kernel statistics plus per-process activation attribution and one run
+  // kernel statistics plus per-process activation attribution as one run
   // ledger entry.
   auto run = [&](RefinementLevel level, const char* tag = nullptr,
                  const RunOptions& opt = {}) {
     const std::string slug = tag != nullptr ? tag : model::level_slug(level);
-    std::optional<obs::Registry::ScopedTimer> t;
-    if (reg != nullptr) t.emplace(reg->time_scope("level:" + slug));
-    const std::uint64_t t0 = steady_ns();
+    const std::uint64_t t0 = session != nullptr ? session->trace.now_ns() : 0;
     auto r = model::run_level(level, mode, events, opt);
-    if (reg != nullptr) {
-      minisc::record_stats(*reg, "level." + slug, r.stats);
-      reg->set_counter("level." + slug + ".simulated_cycles", r.simulated_cycles);
-      reg->set_counter("level." + slug + ".outputs", r.outputs.size());
+    if (session != nullptr) {
+      obs::Fnv1a opt_h;
+      opt_h.update_str("run-options-v1");
+      opt_h.update_u64(opt.inject_corner_bug ? 1 : 0);
+      opt_h.update_u64(opt.check_ram ? 1 : 0);
+      opt_h.update_u64(opt.quantized_time ? 1 : 0);
+      obs::LedgerEntry e;
+      e.phase = "flow.level";
+      e.design = slug;
+      e.input_hash = stimulus_hash;
+      e.options_fingerprint = opt_h.digest();
+      e.duration_ns = session->end_slice("level:" + slug, t0);
+      e.add_counter("samples", samples);
+      e.add_counter("events", events.size());
+      e.add_counter("simulated_cycles", r.simulated_cycles);
+      e.add_counter("outputs", r.outputs.size());
+      e.add_counter("delta_cycles", r.stats.delta_cycles);
+      e.add_counter("timed_steps", r.stats.timed_steps);
+      e.add_counter("process_activations", r.stats.process_activations);
+      e.add_counter("context_switches", r.stats.context_switches);
+      e.add_counter("method_invocations", r.stats.method_invocations);
+      e.add_counter("signal_updates", r.stats.signal_updates);
+      e.add_counter("events_notified", r.stats.events_notified);
+      e.add_counter("events_fired", r.stats.events_fired);
       for (const auto& [proc, n] : r.process_activations)
-        reg->set_counter("process." + slug + "." + proc + ".activations", n);
-      if (session != nullptr) {
-        session->trace.counter_event("activations", session->trace.now_ns(),
-                                     static_cast<double>(r.stats.process_activations));
-        obs::Fnv1a opt_h;
-        opt_h.update_str("run-options-v1");
-        opt_h.update_u64(opt.inject_corner_bug ? 1 : 0);
-        opt_h.update_u64(opt.check_ram ? 1 : 0);
-        opt_h.update_u64(opt.quantized_time ? 1 : 0);
-        obs::LedgerEntry e;
-        e.phase = "flow.level";
-        e.design = slug;
-        e.input_hash = stimulus_hash;
-        e.options_fingerprint = opt_h.digest();
-        e.duration_ns = steady_ns() - t0;
-        e.add_counter("simulated_cycles", r.simulated_cycles);
-        e.add_counter("outputs", r.outputs.size());
-        e.add_counter("delta_cycles", r.stats.delta_cycles);
-        e.add_counter("timed_steps", r.stats.timed_steps);
-        e.add_counter("process_activations", r.stats.process_activations);
-        e.add_counter("context_switches", r.stats.context_switches);
-        e.add_counter("method_invocations", r.stats.method_invocations);
-        e.add_counter("signal_updates", r.stats.signal_updates);
-        e.add_counter("events_notified", r.stats.events_notified);
-        e.add_counter("events_fired", r.stats.events_fired);
-        session->ledger.append(std::move(e));
-      }
+        e.add_counter("activations." + proc, n);
+      session->ledger.append(std::move(e));
+      session->trace.counter_event("activations", session->trace.now_ns(),
+                                   static_cast<double>(r.stats.process_activations));
     }
     return r;
   };
   // Revalidates one refinement step, timed as a "verify:..." trace slice.
   auto check = [&](const std::string& from, const std::string& to, const RunResult& a,
                    const RunResult& b) {
-    std::optional<obs::Registry::ScopedTimer> t;
-    if (reg != nullptr) t.emplace(reg->time_scope("verify:" + from + " -> " + to));
-    const std::uint64_t t0 = steady_ns();
+    const std::uint64_t t0 = session != nullptr ? session->trace.now_ns() : 0;
     RefinementStep s = compare(from, to, a, b);
-    if (reg != nullptr) {
-      reg->count("verify.steps");
-      reg->count("verify.outputs_compared", s.outputs_compared);
-      reg->count("verify.mismatches", s.mismatches);
-    }
     if (session != nullptr) {
       obs::LedgerEntry e;
       e.phase = "flow.verify";
       e.design = from + " -> " + to;
       e.input_hash = stimulus_hash;
-      e.duration_ns = steady_ns() - t0;
+      e.duration_ns = session->end_slice("verify:" + e.design, t0);
       e.add_counter("outputs_compared", s.outputs_compared);
       e.add_counter("mismatches", s.mismatches);
       e.add_counter("bit_accurate", s.bit_accurate ? 1 : 0);

@@ -30,12 +30,14 @@ struct RefinementReport {
 /// Runs the chain on @p samples of stereo tone stimulus in @p mode.
 ///
 /// With @p session, the flow becomes observable: every level run and every
-/// bit-accuracy revalidation is timed (trace slices on the session's
-/// timeline, loadable in chrome://tracing / Perfetto), each level's kernel
-/// statistics land in the registry under "level.<name>.*" (activations,
-/// context_switches, delta_cycles, ...), per-process activation counts
-/// under "process.<name>.activations", and revalidation outcomes under
-/// "verify.*".  Dump with session.dump("report.json", "trace.json").
+/// bit-accuracy revalidation is a trace slice on the session's timeline
+/// (loadable in chrome://tracing / Perfetto) and a ledger entry.  Each
+/// "flow.level" entry carries the level's kernel statistics
+/// (process_activations, context_switches, delta_cycles, ...), one
+/// "activations.<process>" counter per kernel process and the stimulus
+/// size ("samples", "events"); each "flow.verify" entry carries one
+/// revalidation outcome.  Dump with session.dump("trace.json",
+/// "ledger.jsonl").
 RefinementReport run_refinement_flow(dsp::SrcMode mode, std::size_t samples,
                                      obs::Session* session = nullptr);
 

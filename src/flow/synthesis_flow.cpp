@@ -1,5 +1,6 @@
 #include "flow/synthesis_flow.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <iomanip>
 #include <optional>
@@ -8,8 +9,6 @@
 #include "formal/cec.hpp"
 #include "hls/src_beh.hpp"
 #include "netlist/lower.hpp"
-#include "obs/ledger.hpp"
-#include "obs/registry.hpp"
 #include "obs/session.hpp"
 #include "rtl/passes.hpp"
 #include "rtl/src_design.hpp"
@@ -18,16 +17,54 @@ namespace scflow::flow {
 
 namespace obs = scflow::obs;
 
+namespace {
+
+std::uint64_t synthesis_fingerprint(const SynthesisOptions& options) {
+  obs::Fnv1a h;
+  h.update_str("synthesis-options-v1");
+  h.update_u64(options.verify_cec ? 1 : 0);
+  return h.digest();
+}
+
+/// The scheduling/allocation outcome of a behavioural design: steps,
+/// slots, temp_regs (left-edge allocation result), scheduled_ops, and the
+/// peak functional units bound, i.e. the shared-datapath width.
+void add_schedule_counters(obs::LedgerEntry& e, const hls::Schedule& s) {
+  e.add_counter("hls.steps", static_cast<std::uint64_t>(s.num_steps));
+  e.add_counter("hls.slots", static_cast<std::uint64_t>(s.num_slots));
+  e.add_counter("hls.temp_regs", s.temp_regs.size());
+  std::uint64_t ops = 0;
+  for (const int step : s.step_of) ops += step >= 0 ? 1 : 0;
+  e.add_counter("hls.scheduled_ops", ops);
+  const auto peak = [](const std::vector<int>& use) {
+    int m = 0;
+    for (const int u : use) m = std::max(m, u);
+    return static_cast<std::uint64_t>(m);
+  };
+  e.add_counter("hls.fu_mult", peak(s.mult_use));
+  e.add_counter("hls.fu_alu", peak(s.alu_use));
+  e.add_counter("hls.fu_ram_ports", peak(s.ram_use));
+  e.add_counter("hls.fu_rom_ports", peak(s.rom_use));
+}
+
+}  // namespace
+
 nl::Netlist synthesize_to_gates(const rtl::Design& design, nl::GateOptStats* gate_stats,
-                                obs::Registry* reg, std::string_view prefix,
+                                obs::Session* session, std::string_view prefix,
                                 const SynthesisOptions& options,
                                 nl::Netlist* pre_scan_out) {
   const std::string p(prefix);
-  const auto t0 = std::chrono::steady_clock::now();
-  // Input identity for the run ledger: the freshly lowered (pre-opt)
-  // netlist is a deterministic function of the design, so its content
-  // hash keys the whole pipeline without an rtl::Design serializer.
-  std::uint64_t lowered_hash = 0;
+  const std::uint64_t t0 = session != nullptr ? session->trace.now_ns() : 0;
+  obs::LedgerEntry entry;  // filled only with a session
+  // Runs one pass; with a session it becomes a trace slice and the
+  // entry's "<pass>_ns" counter.
+  const auto step = [&](const char* name, auto&& pass) {
+    if (session == nullptr) return pass();
+    const std::uint64_t s0 = session->trace.now_ns();
+    auto out = pass();
+    entry.add_counter(std::string(name) + "_ns", session->end_slice(name, s0));
+    return out;
+  };
   // Snapshots of each refinement step's input, kept only when the formal
   // gate is on or the caller wants the scan-stripped twin (netlists copy
   // cheaply: three vectors of PODs + port names).
@@ -36,69 +73,35 @@ nl::Netlist synthesize_to_gates(const rtl::Design& design, nl::GateOptStats* gat
 
   nl::GateOptStats local_stats;
   nl::GateOptStats* stats = gate_stats != nullptr ? gate_stats : &local_stats;
-  std::size_t scan_flops = 0;
-  nl::Netlist gates = [&] {
-    // One optional outer scope so the per-pass timers nest as
-    // "<prefix>/word_passes", "<prefix>/lower", ...  (The CEC gates run
-    // outside it so their timers land flat at "<prefix>.cec.*".)
-    std::optional<obs::Registry::ScopedTimer> whole;
-    if (reg != nullptr) whole.emplace(reg->time_scope(p));
-    const auto timed = [reg](const char* step) {
-      return reg == nullptr ? std::optional<obs::Registry::ScopedTimer>()
-                            : std::optional<obs::Registry::ScopedTimer>(
-                                  reg->time_scope(step));
-    };
+  rtl::PassOptions word_opts;  // constant fold + CSE + DCE for every design
+  const rtl::Design optimised =
+      step("word_passes", [&] { return rtl::run_passes(design, word_opts); });
+  nl::Netlist gates = step("lower", [&] { return nl::lower_to_gates(optimised, {}); });
+  // Input identity for the run ledger: the freshly lowered (pre-opt)
+  // netlist is a deterministic function of the design, so its content
+  // hash keys the whole pipeline without an rtl::Design serializer.
+  const std::uint64_t lowered_hash = session != nullptr ? nl::content_hash(gates) : 0;
+  if (options.verify_cec) pre_opt = gates;
+  gates = step("gate_opt", [&] { return nl::optimize_gates(gates, stats); });
+  if (keep_pre_scan) pre_scan = gates;
+  const std::size_t scan_flops =
+      step("scan_insertion", [&] { return nl::insert_scan_chain(gates); });
+  gates.validate();
 
-    rtl::PassOptions word_opts;  // constant fold + CSE + DCE for every design
-    rtl::Design optimised = [&] {
-      const auto t = timed("word_passes");
-      return rtl::run_passes(design, word_opts);
-    }();
-    nl::Netlist g = [&] {
-      const auto t = timed("lower");
-      return nl::lower_to_gates(optimised, {});
-    }();
-    lowered_hash = nl::content_hash(g);
-    if (options.verify_cec) pre_opt = g;
-    g = [&] {
-      const auto t = timed("gate_opt");
-      return nl::optimize_gates(g, stats);
-    }();
-    if (keep_pre_scan) pre_scan = g;
-    scan_flops = [&] {
-      const auto t = timed("scan_insertion");
-      return nl::insert_scan_chain(g);
-    }();
-    g.validate();
-    return g;
-  }();
-
-  if (reg != nullptr) {
-    stats->record_into(*reg, p + ".opt");
-    reg->set_counter(p + ".scan_flops", scan_flops);
-    reg->set_counter(p + ".cells", gates.cells().size());
-    if (obs::Ledger* ledger = reg->ledger(); ledger != nullptr) {
-      obs::Fnv1a opt_h;
-      opt_h.update_str("synthesis-options-v1");
-      opt_h.update_u64(options.verify_cec ? 1 : 0);
-      obs::LedgerEntry entry;
-      entry.phase = "synth";
-      entry.design = p;
-      entry.input_hash = lowered_hash;
-      entry.options_fingerprint = opt_h.digest();
-      entry.duration_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      entry.add_counter("cells_before", stats->cells_before);
-      entry.add_counter("cells_after", stats->cells_after);
-      entry.add_counter("rewrites", stats->rewrites);
-      entry.add_counter("iterations", static_cast<std::uint64_t>(stats->iterations));
-      entry.add_counter("scan_flops", scan_flops);
-      entry.add_counter("cells", gates.cells().size());
-      entry.add_counter("output_hash", nl::content_hash(gates));
-      ledger->append(std::move(entry));
-    }
+  if (session != nullptr) {
+    entry.phase = "synth";
+    entry.design = p;
+    entry.input_hash = lowered_hash;
+    entry.options_fingerprint = synthesis_fingerprint(options);
+    entry.duration_ns = session->end_slice(p, t0);
+    entry.add_counter("cells_before", stats->cells_before);
+    entry.add_counter("cells_after", stats->cells_after);
+    entry.add_counter("rewrites", stats->rewrites);
+    entry.add_counter("iterations", static_cast<std::uint64_t>(stats->iterations));
+    entry.add_counter("scan_flops", scan_flops);
+    entry.add_counter("cells", gates.cells().size());
+    entry.add_counter("output_hash", nl::content_hash(gates));
+    session->ledger.append(std::move(entry));
   }
 
   if (options.verify_cec) {
@@ -107,21 +110,21 @@ nl::Netlist synthesize_to_gates(const rtl::Design& design, nl::GateOptStats* gat
     const std::string fail_vcd = p + ".cec_fail.vcd";
     formal::CecOptions opt_check;
     opt_check.metric_prefix = p + ".cec.opt";
-    formal::assert_equivalent(*pre_opt, *pre_scan, reg, opt_check, fail_vcd);
+    formal::assert_equivalent(*pre_opt, *pre_scan, session, opt_check, fail_vcd);
     formal::CecOptions scan_check = formal::CecOptions::scan_modulo();
     scan_check.metric_prefix = p + ".cec.scan";
-    formal::assert_equivalent(*pre_scan, gates, reg, scan_check, fail_vcd);
+    formal::assert_equivalent(*pre_scan, gates, session, scan_check, fail_vcd);
   }
   if (pre_scan_out != nullptr) *pre_scan_out = std::move(*pre_scan);
   return gates;
 }
 
-std::vector<AreaRow> figure10_area_rows(obs::Registry* reg,
+std::vector<AreaRow> figure10_area_rows(obs::Session* session,
                                         const SynthesisOptions& options,
                                         const FaultOptions& fault_options) {
   struct Entry {
     std::string label;
-    std::string slug;  // registry-friendly name
+    std::string slug;  // ledger-friendly name
     rtl::Design design;
     std::optional<hls::Schedule> schedule;
   };
@@ -144,18 +147,29 @@ std::vector<AreaRow> figure10_area_rows(obs::Registry* reg,
   for (auto& e : entries) {
     AreaRow row;
     row.name = e.label;
-    const std::string p = "fig10." + e.slug;
     nl::Netlist pre_scan("");
     const nl::Netlist gates =
-        synthesize_to_gates(e.design, nullptr, reg, p, options,
+        synthesize_to_gates(e.design, nullptr, session, "fig10." + e.slug, options,
                             fault_options.run ? &pre_scan : nullptr);
     row.area = nl::report_area(gates);
     row.flops = row.area.flop_count;
-    if (reg != nullptr) {
-      reg->set_gauge(p + ".comb_um2", row.area.combinational);
-      reg->set_gauge(p + ".seq_um2", row.area.sequential);
-      reg->set_counter(p + ".flops", row.flops);
-      if (e.schedule) e.schedule->record_into(*reg, p + ".hls");
+    // The VHDL reference comes first; every row is relative to its total.
+    const double ref_total = rows.empty() ? row.area.total() : rows.front().area.total();
+    row.combinational_pct = 100.0 * row.area.combinational / ref_total;
+    row.sequential_pct = 100.0 * row.area.sequential / ref_total;
+    row.total_pct = 100.0 * row.area.total() / ref_total;
+    if (session != nullptr) {
+      obs::LedgerEntry fig;
+      fig.phase = "fig10";
+      fig.design = e.slug;
+      fig.input_hash = nl::content_hash(gates);
+      fig.options_fingerprint = synthesis_fingerprint(options);
+      fig.add_gauge("comb_um2", row.area.combinational);
+      fig.add_gauge("seq_um2", row.area.sequential);
+      fig.add_gauge("total_pct", row.total_pct);
+      fig.add_counter("flops", row.flops);
+      if (e.schedule) add_schedule_counters(fig, *e.schedule);
+      session->ledger.append(std::move(fig));
     }
     if (fault_options.run) {
       // One fault universe per design, enumerated on the pre-scan netlist
@@ -171,40 +185,22 @@ std::vector<AreaRow> figure10_area_rows(obs::Registry* reg,
       const auto fault_t0 = std::chrono::steady_clock::now();
       co.use_scan = true;
       co.metric_prefix = "fault." + e.slug + ".scan";
-      fault::CampaignResult with_scan =
-          fault::run_campaign(gates, list, co, fault_options.session);
+      const fault::CampaignResult with_scan =
+          fault::run_campaign(gates, list, co, session, &stats);
       co.use_scan = false;
       co.metric_prefix = "fault." + e.slug + ".noscan";
-      fault::CampaignResult no_scan =
-          fault::run_campaign(pre_scan, list, co, fault_options.session);
+      const fault::CampaignResult no_scan =
+          fault::run_campaign(pre_scan, list, co, session, &stats);
       row.fault_wall_ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - fault_t0)
               .count());
-      for (fault::CampaignResult* r : {&with_scan, &no_scan}) {
-        r->list = stats;
-        r->population = population;
-      }
       row.scan_coverage_pct = with_scan.coverage_pct();
       row.noscan_coverage_pct = no_scan.coverage_pct();
       row.fault_population = population;
       row.faults_simulated = list.size();
-      if (reg != nullptr) {
-        with_scan.record_into(*reg, "fault." + e.slug + ".scan");
-        no_scan.record_into(*reg, "fault." + e.slug + ".noscan");
-      }
     }
     rows.push_back(std::move(row));
-  }
-  const double ref_total = rows.front().area.total();
-  for (AreaRow& r : rows) {
-    r.combinational_pct = 100.0 * r.area.combinational / ref_total;
-    r.sequential_pct = 100.0 * r.area.sequential / ref_total;
-    r.total_pct = 100.0 * r.area.total() / ref_total;
-  }
-  if (reg != nullptr) {
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      reg->set_gauge("fig10." + entries[i].slug + ".total_pct", rows[i].total_pct);
   }
   return rows;
 }

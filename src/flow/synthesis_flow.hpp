@@ -14,7 +14,7 @@
 #include "rtl/ir.hpp"
 
 namespace scflow::obs {
-class Registry;
+struct Session;
 }
 
 namespace scflow::flow {
@@ -29,19 +29,20 @@ struct SynthesisOptions {
 };
 
 /// Complete gate-level synthesis of one design (the "SystemC Compiler +
-/// Design Compiler" pipeline of the paper).  With @p reg, every pass is
-/// timed (scoped under "<prefix>") and its stats are recorded:
-/// "<prefix>.opt.cells_before/.cells_after/.rewrites/.iterations",
-/// "<prefix>.scan_flops", "<prefix>.cells" — the per-pass evidence behind
-/// the Fig. 10 deltas.  With options.verify_cec, equivalence-check stats
-/// land under "<prefix>.cec.opt.*" and "<prefix>.cec.scan.*".  With
+/// Design Compiler" pipeline of the paper).  With @p session, every pass
+/// is a trace slice, and one "synth" ledger entry named @p prefix records
+/// the per-pass evidence behind the Fig. 10 deltas: cells_before/_after,
+/// rewrites, iterations, scan_flops, cells, the output hash, and each
+/// pass's wall time as "<pass>_ns" (word_passes, lower, gate_opt,
+/// scan_insertion).  With options.verify_cec, the two checks append "cec"
+/// entries named "<prefix>.cec.opt" and "<prefix>.cec.scan".  With
 /// @p pre_scan_out, the optimised netlist *before* scan insertion is also
 /// returned — the scan-stripped twin the testability comparison runs
 /// against (scan insertion preserves net ids, so one fault list covers
 /// both variants).
 nl::Netlist synthesize_to_gates(const rtl::Design& design,
                                 nl::GateOptStats* gate_stats = nullptr,
-                                scflow::obs::Registry* reg = nullptr,
+                                scflow::obs::Session* session = nullptr,
                                 std::string_view prefix = "synth",
                                 const SynthesisOptions& options = {},
                                 nl::Netlist* pre_scan_out = nullptr);
@@ -50,15 +51,11 @@ nl::Netlist synthesize_to_gates(const rtl::Design& design,
 /// one shared (collapsed, sampled) fault list per design, simulated once
 /// against the scan-inserted endpoint with scan patterns driven and once
 /// against the pre-scan twin — the coverage delta is what scan insertion
-/// buys in testability.  Metrics land under "fault.<design>.scan.*" and
-/// "fault.<design>.noscan.*".
+/// buys in testability.  Their "fault" ledger entries are named
+/// "<design>.scan" and "<design>.noscan".
 struct FaultOptions {
   bool run = false;  ///< run the campaigns (they cost simulation time)
   fault::CampaignOptions campaign;
-  /// Routed into every run_campaign call: batch spans, the per-fault
-  /// cycle histograms and one run-ledger entry per campaign land here
-  /// (campaign counters still go to the @p reg the caller passed).
-  obs::Session* session = nullptr;
   FaultOptions() { campaign.max_faults = 120; }
 };
 
@@ -82,11 +79,14 @@ struct AreaRow {
 
 /// All Fig. 10 designs: the VHDL reference, behavioural unopt/opt (through
 /// the hls flow) and RTL unopt/opt — synthesised and normalised to the
-/// reference's total area.  With @p reg, per-design synthesis pass stats,
-/// hls scheduling stats (for the behavioural designs) and area results are
-/// recorded under "fig10.<design>.*".  With fault_options.run, each design
-/// additionally gets the scan-vs-noscan stuck-at campaign pair.
-std::vector<AreaRow> figure10_area_rows(scflow::obs::Registry* reg = nullptr,
+/// reference's total area.  With @p session, each design's synthesis
+/// appends a "synth" entry named "fig10.<design>", and each design gets
+/// one "fig10" ledger entry named "<design>" with the area gauges
+/// (comb_um2, seq_um2, total_pct), flops and, for the two behavioural
+/// designs, the HLS schedule counters ("hls.steps", "hls.slots", ...).
+/// With fault_options.run, each design additionally gets the
+/// scan-vs-noscan stuck-at campaign pair, recorded into the same session.
+std::vector<AreaRow> figure10_area_rows(scflow::obs::Session* session = nullptr,
                                         const SynthesisOptions& options = {},
                                         const FaultOptions& fault_options = {});
 

@@ -1,7 +1,6 @@
 #include "formal/cec.hpp"
 
 #include <bit>
-#include <chrono>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -14,8 +13,7 @@
 #include "hdlsim/gate_sim.hpp"
 #include "kernel/vcd.hpp"
 #include "netlist/lower.hpp"
-#include "obs/ledger.hpp"
-#include "obs/registry.hpp"
+#include "obs/session.hpp"
 
 namespace scflow::formal {
 
@@ -232,67 +230,40 @@ std::uint64_t options_fingerprint(const CecOptions& opt) {
   return h.digest();
 }
 
-void record_metrics(obs::Registry* reg, const CecOptions& opt, const CecStats& st,
+void record_metrics(obs::Session* session, const CecOptions& opt, const CecStats& st,
                     const CecResult& res, std::uint64_t input_hash,
-                    std::uint64_t duration_ns) {
-  if (reg == nullptr) return;
-  const std::string& p = opt.metric_prefix;
-  reg->set_counter(p + ".aig_nodes", st.aig_nodes);
-  reg->set_counter(p + ".presim_rounds", st.presim_rounds);
-  reg->set_counter(p + ".presim_ops", st.presim_ops);
-  reg->set_counter(p + ".compare_points", st.compare_points);
-  reg->set_counter(p + ".compare_bits", st.compare_bits);
-  reg->set_counter(p + ".bits_structural", st.bits_structural);
-  reg->set_counter(p + ".bits_sat_proved", st.bits_sat_proved);
-  reg->set_counter(p + ".sweep_classes", st.sweep_classes);
-  reg->set_counter(p + ".sweep_merges", st.sweep_merges);
-  reg->set_counter(p + ".sat_calls", st.sat_calls);
-  reg->set_counter(p + ".sat_conflicts", st.sat_conflicts);
-  reg->set_counter(p + ".sat_decisions", st.sat_decisions);
-  reg->set_counter(p + ".sat_propagations", st.sat_propagations);
-  reg->set_counter(p + ".counterexamples", res.cex ? 1 : 0);
-  reg->set_gauge(p + ".equivalent", res.equivalent() ? 1.0 : 0.0);
-  if (st.sat_call_conflicts.count() > 0)
-    reg->merge_histogram(p + ".sat_call_conflicts", st.sat_call_conflicts);
-  if (obs::Ledger* ledger = reg->ledger(); ledger != nullptr) {
-    obs::LedgerEntry e;
-    e.phase = "cec";
-    e.design = p;
-    e.input_hash = input_hash;
-    e.options_fingerprint = options_fingerprint(opt);
-    e.duration_ns = duration_ns;
-    e.add_counter("aig_nodes", st.aig_nodes);
-    e.add_counter("presim_rounds", st.presim_rounds);
-    e.add_counter("presim_ops", st.presim_ops);
-    e.add_counter("compare_points", st.compare_points);
-    e.add_counter("compare_bits", st.compare_bits);
-    e.add_counter("bits_structural", st.bits_structural);
-    e.add_counter("bits_sat_proved", st.bits_sat_proved);
-    e.add_counter("sweep_classes", st.sweep_classes);
-    e.add_counter("sweep_merges", st.sweep_merges);
-    e.add_counter("sat_calls", st.sat_calls);
-    e.add_counter("sat_conflicts", st.sat_conflicts);
-    e.add_counter("sat_decisions", st.sat_decisions);
-    e.add_counter("sat_propagations", st.sat_propagations);
-    e.add_counter("counterexamples", res.cex ? 1 : 0);
-    e.add_counter("equivalent", res.equivalent() ? 1 : 0);
-    e.add_histogram("sat_call_conflicts", st.sat_call_conflicts);
-    ledger->append(std::move(e));
-  }
+                    std::uint64_t start_ns) {
+  if (session == nullptr) return;
+  obs::LedgerEntry e;
+  e.phase = "cec";
+  e.design = opt.metric_prefix;
+  e.input_hash = input_hash;
+  e.options_fingerprint = options_fingerprint(opt);
+  e.add_counter("aig_nodes", st.aig_nodes);
+  e.add_counter("presim_rounds", st.presim_rounds);
+  e.add_counter("presim_ops", st.presim_ops);
+  e.add_counter("compare_points", st.compare_points);
+  e.add_counter("compare_bits", st.compare_bits);
+  e.add_counter("bits_structural", st.bits_structural);
+  e.add_counter("bits_sat_proved", st.bits_sat_proved);
+  e.add_counter("sweep_classes", st.sweep_classes);
+  e.add_counter("sweep_merges", st.sweep_merges);
+  e.add_counter("sat_calls", st.sat_calls);
+  e.add_counter("sat_conflicts", st.sat_conflicts);
+  e.add_counter("sat_decisions", st.sat_decisions);
+  e.add_counter("sat_propagations", st.sat_propagations);
+  e.add_counter("counterexamples", res.cex ? 1 : 0);
+  e.add_counter("equivalent", res.equivalent() ? 1 : 0);
+  e.add_histogram("sat_call_conflicts", st.sat_call_conflicts);
+  e.duration_ns = session->end_slice(opt.metric_prefix, start_ns);
+  session->ledger.append(std::move(e));
 }
 
 }  // namespace
 
-CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b, obs::Registry* reg,
-                            const CecOptions& opt) {
-  std::optional<obs::Registry::ScopedTimer> timer;
-  if (reg != nullptr) timer.emplace(reg->time_scope(opt.metric_prefix));
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto elapsed_ns = [t0] {
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                          std::chrono::steady_clock::now() - t0)
-                                          .count());
-  };
+CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b,
+                            obs::Session* session, const CecOptions& opt) {
+  const std::uint64_t t0 = session != nullptr ? session->trace.now_ns() : 0;
   // Input identity for the run ledger (and a future artifact cache): the
   // structural hash of both sides.
   obs::Fnv1a input_h;
@@ -367,7 +338,7 @@ CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b, obs::Reg
     res.stats.sat_decisions = eng.solver.stats().decisions;
     res.stats.sat_propagations = eng.solver.stats().propagations;
     if (res.cex && opt.replay) replay_cex(*res.cex, a, b);
-    record_metrics(reg, opt, res.stats, res, input_hash, elapsed_ns());
+    record_metrics(session, opt, res.stats, res, input_hash, t0);
     return res;
   };
 
@@ -589,8 +560,8 @@ CecOptions CecOptions::scan_modulo() {
 }
 
 CecResult check_rtl_vs_netlist(const rtl::Design& a, const nl::Netlist& b,
-                               obs::Registry* reg, const CecOptions& options) {
-  return check_equivalence(nl::lower_to_gates(a), b, reg, options);
+                               obs::Session* session, const CecOptions& options) {
+  return check_equivalence(nl::lower_to_gates(a), b, session, options);
 }
 
 bool write_cex_vcd(const CecCounterexample& cex, const std::string& path) {
@@ -610,9 +581,9 @@ bool write_cex_vcd(const CecCounterexample& cex, const std::string& path) {
 }
 
 void assert_equivalent(const nl::Netlist& a, const nl::Netlist& b,
-                       obs::Registry* reg, const CecOptions& options,
+                       obs::Session* session, const CecOptions& options,
                        const std::string& cex_vcd_path) {
-  CecResult res = check_equivalence(a, b, reg, options);
+  CecResult res = check_equivalence(a, b, session, options);
   if (res.equivalent()) return;
   std::string msg = "equivalence check failed: '" + a.name() + "' vs '" + b.name() + "'";
   if (res.status == CecStatus::kUnknown) {

@@ -25,7 +25,7 @@
 #include "rtl/ir.hpp"
 
 namespace scflow::obs {
-class Registry;
+struct Session;
 }
 
 namespace scflow::formal {
@@ -92,6 +92,8 @@ struct CecOptions {
   std::uint64_t final_conflict_limit = 0;    ///< per output bit; 0 = unbounded
   std::uint64_t seed = 0x5eedf00dcafe1234ull;
   bool replay = true;  ///< replay counterexamples through GateSim
+  /// Labels the check's "cec" ledger entry (its design field) and its
+  /// trace slice when a session is given.
   std::string metric_prefix = "cec";
   /// Preset for comparing a scan-inserted netlist against its pre-scan
   /// original: scan_in/scan_enable tied to 0, scan_out ignored.
@@ -109,10 +111,12 @@ struct CecResult {
 /// matched primary inputs, outputs and flop boundaries.  Flops are paired
 /// by provenance name (Cell::name) with a positional fallback; a flop
 /// present on only one side is treated as free state, which is sound for
-/// optimisation passes that drop dead flops.  With @p reg, records
-/// "<metric_prefix>.*" counters and a scoped timer.
+/// optimisation passes that drop dead flops.  With @p session, appends
+/// one "cec" ledger entry named by metric_prefix (every CecStats counter,
+/// the verdict, the per-call conflict histogram) and emits the check's
+/// trace slice.
 CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b,
-                            obs::Registry* reg = nullptr,
+                            obs::Session* session = nullptr,
                             const CecOptions& options = {});
 
 /// RTL-vs-gates variant: lowers @p a with nl::lower_to_gates and runs
@@ -122,7 +126,7 @@ CecResult check_equivalence(const nl::Netlist& a, const nl::Netlist& b,
 /// vs gate-simulation differential (FuzzEquivalence) is that oracle.
 /// Counterexamples replay through GateSim on both netlists.
 CecResult check_rtl_vs_netlist(const rtl::Design& a, const nl::Netlist& b,
-                               obs::Registry* reg = nullptr,
+                               obs::Session* session = nullptr,
                                const CecOptions& options = {});
 
 /// Thrown by assert_equivalent; carries the full result (counterexample
@@ -138,7 +142,7 @@ class EquivalenceError : public std::runtime_error {
 /// kEquivalent.  When @p cex_vcd_path is non-empty and a counterexample
 /// exists, it is dumped there first (and the path named in the message).
 void assert_equivalent(const nl::Netlist& a, const nl::Netlist& b,
-                       obs::Registry* reg = nullptr, const CecOptions& options = {},
+                       obs::Session* session = nullptr, const CecOptions& options = {},
                        const std::string& cex_vcd_path = {});
 
 /// Writes a counterexample (the input vector plus both sides' divergent

@@ -82,19 +82,12 @@ void BatchRunner::record_into(obs::Session& session, std::string_view prefix,
     const std::uint64_t back = steady_now - t;  // both stamps are steady-clock
     return trace_now >= back ? trace_now - back : 0;
   };
-  std::vector<std::uint64_t> per_lane(lanes_, 0);
   for (std::size_t j = 0; j < stats_.size(); ++j) {
     const BatchJobStat& st = stats_[j];
-    ++per_lane[st.lane];
     session.spans.add({0, parent_span_id, p + ".job" + std::to_string(j), "batch",
                        to_trace(st.start_ns), to_trace(st.end_ns),
                        static_cast<int>(st.lane)});
-    session.registry.record_value(p + ".job_ns", st.end_ns - st.start_ns);
   }
-  session.registry.set_counter(p + ".jobs", stats_.size());
-  session.registry.set_counter(p + ".lanes", lanes_);
-  for (unsigned l = 0; l < lanes_; ++l)
-    session.registry.set_counter(p + ".lane" + std::to_string(l) + ".jobs", per_lane[l]);
   // Export straight away so callers that only inspect session.trace (not
   // dump()) still see one slice per job; the SpanSet watermark keeps a
   // later dump() from re-emitting them.

@@ -78,10 +78,10 @@ class BatchRunner {
   /// Per-job timings of the most recent run(), indexed by job.
   [[nodiscard]] const std::vector<BatchJobStat>& job_stats() const { return stats_; }
 
-  /// Records the last run() into @p session: one span (= complete trace
-  /// slice, tid = lane, so the trace shows the per-lane occupancy) per
-  /// job, a "<prefix>.job_ns" latency histogram, plus "<prefix>.jobs",
-  /// "<prefix>.lanes" and per-lane "<prefix>.lane<k>.jobs" counters.
+  /// Records the last run() into @p session: one span "<prefix>.job<k>"
+  /// per job (= complete trace slice, tid = lane, so the trace shows the
+  /// per-lane occupancy).  Lane shares and job latencies depend on
+  /// scheduling, so they live in these spans and never in the ledger.
   /// With @p parent_span_id (reserved from session.spans and added by the
   /// caller), every job span parent-links to it and the export draws
   /// Perfetto flow arrows from the parent slice into each lane — the link
@@ -104,7 +104,7 @@ class BatchRunner {
 /// Runs one schedule per job over @p netlist (each job its own GateSim —
 /// parallelism comes from the batch axis), results in schedule order.
 /// @p options applies to every DUT; @p threads picks the batch lane count.
-/// When @p session is given, job slices and counters are recorded under
+/// When @p session is given, one span per job is recorded under
 /// "gate_batch".  With @p job_timeout_ns, each job's simulation winds
 /// down once its wall budget expires (GateRunResult::timed_out and the
 /// matching BatchJobStat::timed_out are set; the other jobs and the pool

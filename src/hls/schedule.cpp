@@ -2,30 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
-
-#include "obs/registry.hpp"
 
 namespace scflow::hls {
-
-void Schedule::record_into(scflow::obs::Registry& reg, std::string_view prefix) const {
-  const std::string p = std::string(prefix) + ".";
-  reg.set_counter(p + "steps", static_cast<std::uint64_t>(num_steps));
-  reg.set_counter(p + "slots", static_cast<std::uint64_t>(num_slots));
-  reg.set_counter(p + "temp_regs", temp_regs.size());
-  std::uint64_t ops = 0;
-  for (const int s : step_of) ops += s >= 0 ? 1 : 0;
-  reg.set_counter(p + "scheduled_ops", ops);
-  const auto peak = [](const std::vector<int>& use) {
-    int m = 0;
-    for (const int u : use) m = std::max(m, u);
-    return static_cast<std::uint64_t>(m);
-  };
-  reg.set_counter(p + "fu_mult", peak(mult_use));
-  reg.set_counter(p + "fu_alu", peak(alu_use));
-  reg.set_counter(p + "fu_ram_ports", peak(ram_use));
-  reg.set_counter(p + "fu_rom_ports", peak(rom_use));
-}
 
 FuClass fu_class(HOp op) {
   switch (op) {

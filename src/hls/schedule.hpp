@@ -4,14 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "hls/kernel.hpp"
-
-namespace scflow::obs {
-class Registry;
-}
 
 namespace scflow::hls {
 
@@ -47,12 +42,6 @@ struct Schedule {
 
   /// Per-step FU usage (for constraint verification in tests).
   std::vector<int> mult_use, alu_use, ram_use, rom_use;
-
-  /// Records the scheduling/allocation outcome into the unified metric
-  /// registry: "<prefix>.steps", ".slots", ".temp_regs" (left-edge
-  /// allocation result), ".fu_mult"/".fu_alu" (peak FUs bound, i.e. the
-  /// shared-datapath width) and ".scheduled_ops".
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };
 
 /// Schedules @p kernel under @p rc.  Throws std::logic_error on malformed

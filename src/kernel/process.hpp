@@ -27,8 +27,7 @@ class ProcessBase : public Object {
   void add_static_sensitivity(Event& e);
   [[nodiscard]] const std::vector<Event*>& static_sensitivity() const { return static_events_; }
 
-  /// Times this process was dispatched in an evaluate phase (counted while
-  /// the simulation's instrumentation probe is enabled).
+  /// Times this process was dispatched in an evaluate phase.
   std::uint64_t activations = 0;
 
   // Scheduler bookkeeping.

@@ -6,22 +6,8 @@
 #include "kernel/event.hpp"
 #include "kernel/object.hpp"
 #include "kernel/port.hpp"
-#include "obs/registry.hpp"
 
 namespace minisc {
-
-void record_stats(scflow::obs::Registry& reg, std::string_view prefix,
-                  const SimulationStats& s) {
-  const std::string p = std::string(prefix) + ".";
-  reg.set_counter(p + "delta_cycles", s.delta_cycles);
-  reg.set_counter(p + "timed_steps", s.timed_steps);
-  reg.set_counter(p + "activations", s.process_activations);
-  reg.set_counter(p + "context_switches", s.context_switches);
-  reg.set_counter(p + "method_invocations", s.method_invocations);
-  reg.set_counter(p + "signal_updates", s.signal_updates);
-  reg.set_counter(p + "events_notified", s.events_notified);
-  reg.set_counter(p + "events_fired", s.events_fired);
-}
 
 Simulation::Simulation() = default;
 
@@ -128,14 +114,14 @@ void Simulation::evaluate_phase() {
     ProcessBase* p = runnable_.front();
     runnable_.pop_front();
     p->in_runnable_queue = false;
-    probe_.hit(stats_.process_activations);
-    probe_.hit(p->activations);
+    ++stats_.process_activations;
+    ++p->activations;
     if (p->is_thread()) {
       current_thread_ = static_cast<ThreadProcess*>(p);
       p->execute();
       current_thread_ = nullptr;
     } else {
-      probe_.hit(stats_.method_invocations);
+      ++stats_.method_invocations;
       p->execute();
     }
     if (stop_requested_) return;
@@ -160,7 +146,7 @@ void Simulation::delta_notify_phase() {
 bool Simulation::run_delta_cycles() {
   std::uint64_t deltas_here = 0;
   while (!runnable_.empty() || !update_queue_.empty() || !delta_events_.empty()) {
-    probe_.hit(stats_.delta_cycles);
+    ++stats_.delta_cycles;
     if (++deltas_here > max_delta_cycles_)
       throw std::runtime_error("delta cycle limit exceeded (zero-delay loop?)");
     evaluate_phase();
@@ -181,7 +167,7 @@ void Simulation::run_until(Time until) {
     const Time next = timed_.top().at;
     if (next > until) { now_ = until == Time::max() ? now_ : until; return; }
     now_ = next;
-    probe_.hit(stats_.timed_steps);
+    ++stats_.timed_steps;
     // Release every action scheduled for this instant.
     while (!timed_.empty() && timed_.top().at == now_) {
       auto fn = std::move(const_cast<TimedEntry&>(timed_.top()).fn);

@@ -8,7 +8,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <string_view>
 #include <ucontext.h>
 #include <unordered_map>
 #include <utility>
@@ -16,11 +15,6 @@
 
 #include "kernel/process.hpp"
 #include "kernel/time.hpp"
-#include "obs/probe.hpp"
-
-namespace scflow::obs {
-class Registry;
-}
 
 namespace minisc {
 
@@ -30,9 +24,8 @@ class PortBase;
 class SignalUpdateIF;
 
 /// Statistics the benchmarks report (cycles/s needs activation counts to be
-/// meaningful across abstraction levels).  Collected while the kernel's
-/// instrumentation probe is enabled (the default); see
-/// Simulation::set_instrumentation.
+/// meaningful across abstraction levels).  Always collected: each is one
+/// increment on a path that already does far more work.
 struct SimulationStats {
   std::uint64_t delta_cycles = 0;
   std::uint64_t timed_steps = 0;          ///< distinct simulated instants
@@ -43,12 +36,6 @@ struct SimulationStats {
   std::uint64_t events_notified = 0;      ///< notify()/notify_delta()/notify(t)
   std::uint64_t events_fired = 0;         ///< matured notifications (fire())
 };
-
-/// Records every SimulationStats field into @p reg as
-/// "<prefix>.delta_cycles", "<prefix>.activations", ... — the one place
-/// that maps kernel counters to the unified report schema.
-void record_stats(scflow::obs::Registry& reg, std::string_view prefix,
-                  const SimulationStats& s);
 
 /// One independent simulation context: owns the object registry, the
 /// runnable/update/delta/timed queues and the scheduler loop.
@@ -101,22 +88,16 @@ class Simulation {
   /// Schedules a callback at absolute time @p t.
   void schedule_at(Time t, std::function<void()> fn);
 
-  /// Turns kernel statistics collection on (default) or off.  Off mode
-  /// makes every note_*() a no-op-cost add-of-zero — the scheduler runs
-  /// identically, it just stops counting (stats keep their last values).
-  void set_instrumentation(bool on) { probe_.set_enabled(on); }
-  [[nodiscard]] bool instrumentation_enabled() const { return probe_.enabled(); }
-
   /// Per-process activation counts (full process name -> activations),
   /// for attributing the Fig. 8 activation load to individual processes.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   process_activations() const;
 
   ucontext_t* scheduler_context() { return &scheduler_context_; }
-  void note_context_switch() { probe_.hit(stats_.context_switches); }
-  void note_signal_update() { probe_.hit(stats_.signal_updates); }
-  void note_event_notified() { probe_.hit(stats_.events_notified); }
-  void note_event_fired() { probe_.hit(stats_.events_fired); }
+  void note_context_switch() { ++stats_.context_switches; }
+  void note_signal_update() { ++stats_.signal_updates; }
+  void note_event_notified() { ++stats_.events_notified; }
+  void note_event_fired() { ++stats_.events_fired; }
 
   /// Delta-cycle limit without time advance, to catch oscillating
   /// zero-delay loops.  Throws std::runtime_error when exceeded.
@@ -164,7 +145,6 @@ class Simulation {
   ThreadProcess* current_thread_ = nullptr;
   ucontext_t scheduler_context_{};
   SimulationStats stats_;
-  scflow::obs::Probe probe_;
 };
 
 /// Interface a signal implements to take part in the update phase.

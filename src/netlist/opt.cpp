@@ -4,17 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/registry.hpp"
-
 namespace scflow::nl {
-
-void GateOptStats::record_into(scflow::obs::Registry& reg, std::string_view prefix) const {
-  const std::string p = std::string(prefix) + ".";
-  reg.set_counter(p + "cells_before", cells_before);
-  reg.set_counter(p + "cells_after", cells_after);
-  reg.set_counter(p + "rewrites", rewrites);
-  reg.set_counter(p + "iterations", static_cast<std::uint64_t>(iterations));
-}
 
 namespace {
 

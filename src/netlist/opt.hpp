@@ -4,13 +4,8 @@
 #pragma once
 
 #include <cstddef>
-#include <string_view>
 
 #include "netlist/netlist.hpp"
-
-namespace scflow::obs {
-class Registry;
-}
 
 namespace scflow::nl {
 
@@ -19,10 +14,6 @@ struct GateOptStats {
   std::size_t cells_after = 0;
   std::size_t rewrites = 0;
   int iterations = 0;
-
-  /// Records the pass outcome into the unified metric registry as
-  /// "<prefix>.cells_before", ".cells_after", ".rewrites", ".iterations".
-  void record_into(scflow::obs::Registry& reg, std::string_view prefix) const;
 };
 
 [[nodiscard]] Netlist optimize_gates(const Netlist& input, GateOptStats* stats = nullptr);

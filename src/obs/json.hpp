@@ -1,9 +1,9 @@
 // Minimal JSON utilities for the observability layer: string escaping for
 // the emitters, a tiny syntax checker so tests can assert that every
-// report.json / trace.json the flow writes is actually well-formed JSON
-// (the structural half of "loads in Perfetto"), and a small DOM parser so
-// the run-ledger tooling (obs::Ledger, tools/scflow_report) can load the
-// artifacts it wrote.  No dependencies.
+// ledger.jsonl line / trace.json the flow writes is actually well-formed
+// JSON (the structural half of "loads in Perfetto"), and a small DOM
+// parser so the run-ledger tooling (obs::Ledger, tools/scflow_report) can
+// load the artifacts it wrote.  No dependencies.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,8 @@ namespace scflow::obs {
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 /// Renders a double as a JSON number.  JSON has no inf/nan tokens, so
-/// non-finite values render as "null" — every emitter (registry gauges,
-/// trace counter tracks, ledger fields) must go through this instead of
+/// non-finite values render as "null" — every emitter (ledger gauges,
+/// trace counter tracks) must go through this instead of
 /// operator<< or the artifact stops parsing.  Finite values round-trip
 /// (max_digits10 precision).
 [[nodiscard]] std::string json_number(double v);

@@ -1,18 +1,20 @@
-// The run ledger: an append-only JSONL artifact where every engine
-// invocation (refinement-flow level, synthesis, CEC, fault campaign,
-// bench) records one schema-versioned entry — {phase, design, input
-// content-hash, options fingerprint, duration, counters, gauges,
+// The run ledger: the flow's one metric schema.  An append-only JSONL
+// artifact where every engine invocation (refinement-flow level and
+// verify step, synthesis, Fig. 10 area row, CEC, fault and SEU campaign,
+// service run) records one schema-versioned entry — {phase, design,
+// input content-hash, options fingerprint, duration, counters, gauges,
 // histograms}.  The first line is a header stamping {schema, rev, host,
 // hw_threads, tool}; each following line is one entry, so runs can
 // append to a shared file and tools can stream it line-by-line.
 //
 // Determinism contract: entries are built EXPLICITLY by the engines from
-// their deterministic result counters (never scraped from a registry
-// prefix), so scheduling-dependent metrics (per-lane job counts, wall
-// budgets) stay out.  All timing lives in fields/keys that name
-// nanoseconds ("duration_ns", "*_ns"), which diff and the thread-sweep
-// tests exclude — everything else must be bit-identical across reruns
-// and thread counts.
+// their deterministic result counters, so data that depends on
+// scheduling or on the fault engine (per-lane job counts and latencies,
+// PPSFP drop accounting) stays out — it lives in trace spans and result
+// structs.  All timing lives in fields/keys that name nanoseconds
+// ("duration_ns", "*_ns"), which diff and the thread-sweep tests exclude
+// — everything else must be bit-identical across reruns and thread
+// counts.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +63,7 @@ struct RunMetadata {
 /// but serialize sorted by name, so two runs that record the same
 /// metrics in different orders still emit identical lines.
 struct LedgerEntry {
-  std::string phase;   ///< "flow.level", "flow.verify", "synth", "cec", "fault", "bench"
+  std::string phase;   ///< "flow.level", "synth", "fig10", "cec", "fault", "seu", "serve.run", ...
   std::string design;  ///< design / step label
   std::uint64_t input_hash = 0;           ///< content hash of the engine's input
   std::uint64_t options_fingerprint = 0;  ///< hash of semantic options only

@@ -1,41 +1,43 @@
-// An observability session: one Registry wired to one TraceWriter, one
-// SpanSet and one run Ledger.  The flow drivers and benches take an
-// optional Session* and, when given, record step timings (as trace
-// slices), counters, gauges, histograms, spans and ledger entries into
-// it; the caller then dumps report.json / trace.json / ledger.jsonl.
-// Stack-allocate and keep it alive for the run — the registry holds
-// pointers to the trace and ledger.
+// An observability session: one TraceWriter, one SpanSet and one run
+// Ledger.  The flow drivers, engines and benches take an optional
+// Session* and, when given, record step timings as trace slices,
+// cross-thread batch jobs as spans, and one ledger entry per engine
+// invocation — the ledger is the run's only metric schema; the caller
+// then dumps trace.json / ledger.jsonl.
 #pragma once
 
+#include <cstdint>
+#include <string>
+
 #include "obs/ledger.hpp"
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace scflow::obs {
 
 struct Session {
-  Session() {
-    registry.attach_trace(&trace);
-    registry.attach_ledger(&ledger);
-  }
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  Registry registry;
   TraceWriter trace;
   SpanSet spans;
   Ledger ledger;
 
-  /// Convenience: exports pending spans into the trace, then writes the
-  /// requested artifacts; empty paths are skipped.  Returns false if any
-  /// requested write failed.
-  bool dump(const std::string& report_path, const std::string& trace_path,
-            const std::string& ledger_path = {}) {
-    if (!trace_path.empty()) spans.export_to(trace);
+  /// Closes a timed step that began at @p start_ns (a trace.now_ns()
+  /// stamp): emits it as a complete "timer" slice and returns its length,
+  /// for the step's ledger entry ("duration_ns" or a "<step>_ns" counter).
+  std::uint64_t end_slice(std::string name, std::uint64_t start_ns) {
+    const std::uint64_t dur = trace.now_ns() - start_ns;
+    trace.complete_event(std::move(name), "timer", start_ns, dur);
+    return dur;
+  }
+
+  /// Exports pending spans into the trace, then writes the requested
+  /// artifacts; empty paths are skipped.  Returns false if any requested
+  /// write failed.
+  bool dump(const std::string& trace_path, const std::string& ledger_path = {}) {
     bool ok = true;
-    if (!report_path.empty()) ok = registry.write_report(report_path) && ok;
-    if (!trace_path.empty()) ok = trace.write_file(trace_path) && ok;
+    if (!trace_path.empty()) {
+      spans.export_to(trace);
+      ok = trace.write_file(trace_path);
+    }
     if (!ledger_path.empty()) ok = ledger.write(ledger_path) && ok;
     return ok;
   }

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "hdlsim/batch_runner.hpp"
-#include "obs/registry.hpp"
 #include "obs/session.hpp"
 #include "serve/chaos.hpp"
 
@@ -477,36 +476,6 @@ void SrcService::record_into(obs::Session& session, std::string_view run_label) 
   }
 
   const ResilienceStats res = resilience_stats();
-
-  obs::Registry& reg = session.registry;
-  reg.count("serve.sessions_opened", opened_total_);
-  reg.count("serve.sessions_closed", closed_total_);
-  reg.count("serve.steps", steps_);
-  reg.count("serve.dispatches", dispatch_total_);
-  reg.count("serve.samples_in", total.accepted);
-  reg.count("serve.samples_out", total.produced);
-  reg.count("serve.samples_pulled", total.pulled);
-  reg.count("serve.push_rejected", total.push_rejected);
-  reg.set_counter("serve.starve_streak_max", starve_streak_max_);
-  reg.merge_histogram("serve.job_ns", job_ns_);
-  reg.count("serve.evict.idle", res.evict_idle);
-  reg.count("serve.evict.lifetime", res.evict_lifetime);
-  reg.count("serve.evict.drained", res.evict_drained);
-  reg.count("serve.evict.push_rejected", res.evict_push_rejected);
-  reg.count("serve.evict.unpulled", res.evict_unpulled);
-  reg.count("serve.shed.sessions", res.shed_sessions);
-  reg.count("serve.shed.dropped_inputs", res.shed_dropped_inputs);
-  reg.count("serve.shed.dropped_outputs", res.shed_dropped_outputs);
-  reg.count("serve.admit.overloaded", res.admit_overloaded);
-  reg.count("serve.admit.rate_unsupported", res.admit_rate_unsupported);
-  reg.count("serve.chaos.stalls", res.chaos_stalls);
-  reg.count("serve.chaos.disconnects", res.chaos_disconnects);
-  reg.count("serve.chaos.oversized_pushes", res.chaos_oversized_pushes);
-  reg.count("serve.chaos.ring_storms", res.chaos_ring_storms);
-  reg.count("serve.chaos.alloc_failures", res.chaos_alloc_failures);
-  reg.count("serve.snapshot.saves", res.snapshot_saves);
-  reg.count("serve.snapshot.restores", res.snapshot_restores);
-  reg.set_counter("serve.snapshot.bytes_last", res.snapshot_bytes_last);
 
   const std::uint64_t opt_fp = options_fingerprint(options_);
   obs::Fnv1a run_fp;

@@ -217,13 +217,13 @@ class SrcService {
   void save_state(core::StateWriter& w) const;
   [[nodiscard]] bool load_state(core::StateReader& r, std::string* error = nullptr);
 
-  /// Records the service's lifetime aggregates into @p session: registry
-  /// counters under "serve.*", one "serve.ratio" ledger entry per
-  /// distinct rate pair (sorted, deterministic), one "serve.resilience"
-  /// entry carrying the eviction/shed/admission/chaos/snapshot census,
-  /// and one "serve.run" summary entry whose input hash fingerprints the
-  /// session-count × ratio population.  Everything except "*_ns"
-  /// metrics is bit-identical across thread counts.
+  /// Records the service's lifetime aggregates into @p session's ledger:
+  /// one "serve.ratio" entry per distinct rate pair (sorted,
+  /// deterministic), one "serve.resilience" entry carrying the
+  /// eviction/shed/admission/chaos/snapshot census, and one "serve.run"
+  /// summary entry (with the per-dispatch "job_ns" histogram) whose input
+  /// hash fingerprints the session-count × ratio population.  Everything
+  /// except "*_ns" metrics is bit-identical across thread counts.
   void record_into(obs::Session& session, std::string_view run_label = "run") const;
 
  private:

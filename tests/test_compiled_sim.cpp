@@ -16,7 +16,7 @@
 #include "hls/src_beh.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist_fuzz.hpp"
-#include "obs/registry.hpp"
+#include "obs/session.hpp"
 #include "rtl/src_design.hpp"
 
 namespace scflow::hdlsim {
@@ -275,14 +275,17 @@ TEST(CecCompiledPresim, RefutesAndRecordsOnGateOptPair) {
   // Equivalent pair: the pre-pass runs all rounds, finds nothing, and the
   // usual engine proves equivalence.
   formal::CecOptions opt;
-  obs::Registry reg;
+  obs::Session session;
   opt.metric_prefix = "cec.test";
-  const formal::CecResult eq = formal::check_equivalence(n, copy, &reg, opt);
+  const formal::CecResult eq = formal::check_equivalence(n, copy, &session, opt);
   EXPECT_TRUE(eq.equivalent());
   EXPECT_EQ(eq.stats.presim_rounds, static_cast<std::size_t>(opt.sim_rounds));
   EXPECT_GT(eq.stats.presim_ops, 0u);
-  EXPECT_EQ(reg.counter("cec.test.presim_rounds"), eq.stats.presim_rounds);
-  EXPECT_EQ(reg.counter("cec.test.presim_ops"), eq.stats.presim_ops);
+  ASSERT_EQ(session.ledger.size(), 1u);
+  const obs::LedgerEntry& e = session.ledger.entries()[0];
+  EXPECT_EQ(e.design, "cec.test");
+  EXPECT_EQ(e.counter("presim_rounds"), eq.stats.presim_rounds);
+  EXPECT_EQ(e.counter("presim_ops"), eq.stats.presim_ops);
 
   // Broken pair: flip one cell; the pre-pass should refute within its
   // rounds (64 patterns each) and the counterexample must replay.

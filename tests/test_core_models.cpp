@@ -3,9 +3,15 @@
 // test suite, across the whole chain
 //   C++ (continuous)  ==  SystemC channels
 //   C++ (quantised)   ==  BEH unopt == BEH opt == RTL unopt == RTL opt
+// plus the SRC_CTRL mode switch of the C++ and channel levels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/channel_src.hpp"
 #include "core/run.hpp"
+#include "core/testbench.hpp"
+#include "dsp/golden_src.hpp"
 #include "dsp/stimulus.hpp"
 
 namespace scflow::model {
@@ -185,6 +191,72 @@ TEST(ClockedModels, BehUnoptTakesMoreCyclesPerOutputThanOpt) {
   EXPECT_GE(unopt.output_latency_cycles[i], 30u);  // 16 MACs + 16 handshakes
   EXPECT_LE(opt.output_latency_cycles[i], 25u);    // fixed cycle scheme
   expect_same_outputs(unopt, opt, "unopt vs opt");
+}
+
+// --- SRC_CTRL (paper Fig. 5): mode switch before the first sample -------
+//
+// A converter built for 44.1->48 kHz and switched to 48->44.1 kHz through
+// set_mode() must be indistinguishable from one built for 48->44.1 kHz;
+// the unswitched converter must not be (so the switch is what matters).
+
+std::vector<StereoSample> drive_algorithmic(dsp::AlgorithmicSrc& src,
+                                            const std::vector<SrcEvent>& events) {
+  std::vector<StereoSample> out;
+  for (const SrcEvent& e : events) {
+    if (e.is_input) src.push_input(e.t_ps, e.sample);
+    else out.push_back(src.pull_output(e.t_ps));
+  }
+  return out;
+}
+
+bool any_audio(const std::vector<StereoSample>& out) {
+  return std::any_of(out.begin(), out.end(),
+                     [](const StereoSample& s) { return s.left != 0 || s.right != 0; });
+}
+
+TEST(SrcCtrl, AlgorithmicSetModeMatchesConstructedMode) {
+  using TimeBase = dsp::AlgorithmicSrc::TimeBase;
+  const auto ev = noise_schedule(SrcMode::k48To44_1, 900, 5);
+  for (const TimeBase tb : {TimeBase::kContinuousPs, TimeBase::kQuantizedCycles}) {
+    dsp::AlgorithmicSrc switched(SrcMode::k44_1To48, tb);
+    switched.set_mode(SrcMode::k48To44_1);
+    dsp::AlgorithmicSrc built(SrcMode::k48To44_1, tb);
+    dsp::AlgorithmicSrc unswitched(SrcMode::k44_1To48, tb);
+    const auto got = drive_algorithmic(switched, ev);
+    const auto want = drive_algorithmic(built, ev);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want) << "time base " << static_cast<int>(tb);
+    EXPECT_TRUE(any_audio(want));
+    EXPECT_FALSE(drive_algorithmic(unswitched, ev) == want) << static_cast<int>(tb);
+  }
+}
+
+TEST(SrcCtrl, ChannelSetModeThroughCtrlInterfaceMatchesConstructedMode) {
+  const auto ev = noise_schedule(SrcMode::k48To44_1, 900, 5);
+  // Drives the channel the way run_level's channel runner does; with
+  // @p switch_to, the mode changes through SRC_CTRL before elaboration.
+  const auto run = [&ev](SrcMode built, const SrcMode* switch_to) {
+    minisc::Simulation sim;
+    ChannelSrc src(sim, "src", built);
+    if (switch_to != nullptr) {
+      SrcCtrlIF& ctrl = src;
+      ctrl.set_mode(*switch_to);
+      EXPECT_EQ(ctrl.mode(), *switch_to);
+    }
+    ChannelProducer producer(sim, src, ev);
+    ChannelConsumer consumer(sim, src, ev);
+    sim.run();
+    return consumer.outputs;
+  };
+  const SrcMode target = SrcMode::k48To44_1;
+  const auto got = run(SrcMode::k44_1To48, &target);
+  const auto want = run(SrcMode::k48To44_1, nullptr);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
+  EXPECT_TRUE(any_audio(want));
+  EXPECT_FALSE(run(SrcMode::k44_1To48, nullptr) == want);
+  // And the constructed channel is the continuous golden, as in the chain.
+  EXPECT_TRUE(want == run_level(RefinementLevel::kChannelSystemC, target, ev).outputs);
 }
 
 TEST(Levels, NamesAndClockedness) {

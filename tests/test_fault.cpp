@@ -375,14 +375,34 @@ TEST(Campaign, RecordsMetricsAndBatchTimelineIntoSession) {
   const CampaignResult r = run_campaign(scan, opt, &session);
   EXPECT_EQ(r.simulated(), 16u);
   EXPECT_GT(r.population, r.simulated());  // the cap is never silent
-  const std::string p = "fault.faccu";
-  EXPECT_EQ(session.registry.counter(p + ".simulated"), r.simulated());
-  EXPECT_EQ(session.registry.counter(p + ".population"), r.population);
-  EXPECT_EQ(session.registry.counter(p + ".detected"), r.detected);
-  EXPECT_EQ(session.registry.counter(p + ".scan_used"), 1u);
-  EXPECT_EQ(session.registry.counter(p + ".batch.jobs"), r.simulated());
-  ASSERT_NE(session.registry.timer(p), nullptr);  // whole-campaign timer
-  EXPECT_EQ(session.registry.timer(p)->count, 1u);
+
+  // One ledger entry carrying the real population of the sampled list.
+  ASSERT_EQ(session.ledger.size(), 1u);
+  const obs::LedgerEntry& e = session.ledger.entries()[0];
+  EXPECT_EQ(e.phase, "fault");
+  EXPECT_EQ(e.design, "faccu");
+  EXPECT_EQ(e.counter("population"), r.population);
+  EXPECT_GT(e.counter("population"), e.counter("simulated"));
+  EXPECT_EQ(e.counter("simulated"), r.simulated());
+  EXPECT_EQ(e.counter("sites"), r.list.sites);
+  EXPECT_EQ(e.counter("raw"), r.list.raw);
+  EXPECT_EQ(e.counter("collapsed"), r.list.collapsed);
+  EXPECT_EQ(e.counter("raw") - e.counter("collapsed"), r.population);
+  EXPECT_EQ(e.counter("detected"), r.detected);
+  EXPECT_EQ(e.counter("scan_used"), 1u);
+  EXPECT_GT(e.duration_ns, 0u);
+
+  // The batch timeline: one root span, one child span per event-driven job.
+  ASSERT_EQ(session.spans.size(), r.simulated() + 1);
+  const obs::Span* root = nullptr;
+  for (const obs::Span& s : session.spans.spans())
+    if (s.parent_id == 0) root = &s;
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->name, "fault.faccu");
+  for (const obs::Span& s : session.spans.spans()) {
+    if (&s == root) continue;
+    EXPECT_EQ(s.parent_id, root->id) << s.name;
+  }
 }
 
 // Full-list PPSFP on the five Fig. 10 designs reproduces the sampled
@@ -524,10 +544,29 @@ TEST(Seu, RecordsMetricsIntoSession) {
   const auto [pre, scan] = acc_pair();
   obs::Session session;
   const SeuResult r = run_seu_campaign(pre, {}, &session);
-  const std::string p = "seu.faccu";
-  EXPECT_EQ(session.registry.counter(p + ".trials"), r.trials.size());
-  EXPECT_EQ(session.registry.counter(p + ".diverged"), r.diverged);
-  EXPECT_EQ(session.registry.counter(p + ".silent"), r.silent);
+  ASSERT_GT(r.injected, 0u);
+  ASSERT_EQ(session.ledger.size(), 1u);
+  const obs::LedgerEntry& e = session.ledger.entries()[0];
+  EXPECT_EQ(e.phase, "seu");
+  EXPECT_EQ(e.design, "faccu");
+  EXPECT_EQ(e.input_hash, nl::content_hash(pre));
+  EXPECT_EQ(e.counter("trials"), r.trials.size());
+  EXPECT_EQ(e.counter("injected"), r.injected);
+  EXPECT_EQ(e.counter("skipped_x"), r.skipped_x);
+  EXPECT_EQ(e.counter("diverged"), r.diverged);
+  EXPECT_EQ(e.counter("recovered"), r.recovered);
+  EXPECT_EQ(e.counter("silent"), r.silent);
+  ASSERT_EQ(e.gauges.size(), 1u);
+  EXPECT_EQ(e.gauges[0].first, "divergence_pct");
+  EXPECT_DOUBLE_EQ(e.gauges[0].second, 100.0 * static_cast<double>(r.diverged) /
+                                           static_cast<double>(r.injected));
+  EXPECT_EQ(session.trace.event_count(), 1u);  // the campaign's slice
+
+  // The same campaign again fingerprints identically: the entry is
+  // deterministic, timing aside.
+  obs::Session again;
+  (void)run_seu_campaign(pre, {}, &again);
+  EXPECT_EQ(again.ledger.to_jsonl(true), session.ledger.to_jsonl(true));
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // synthesis/area flow — including the paper's headline ordering claims.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+
 #include "flow/refinement_flow.hpp"
 #include "flow/synthesis_flow.hpp"
 #include "hls/src_beh.hpp"
@@ -26,17 +30,25 @@ TEST(RefinementFlowTest, ChainVerifiesWithQuantisationStepVisible) {
   EXPECT_NE(text.find("chain verified: yes"), std::string::npos);
 }
 
+// The flow.level ledger entry of one refinement level.
+const obs::LedgerEntry& level_entry(const obs::Session& session, const std::string& slug) {
+  for (const obs::LedgerEntry& e : session.ledger.entries())
+    if (e.phase == "flow.level" && e.design == slug) return e;
+  ADD_FAILURE() << "no flow.level entry for " << slug;
+  static const obs::LedgerEntry kNone;
+  return kNone;
+}
+
 // The Fig. 8 performance ladder, cross-checked against the kernel
 // mechanisms the paper blames for it: activation counts must rise from the
 // kernel-free C++ level through the event-driven channel level to the
 // clocked levels, which activate their processes every clock cycle.
 TEST(RefinementFlowTest, ActivationCountsMatchFig8Ordering) {
   obs::Session session;
-  run_refinement_flow(dsp::SrcMode::k44_1To48, 200, &session);
-  const auto& reg = session.registry;
+  const auto rep = run_refinement_flow(dsp::SrcMode::k44_1To48, 200, &session);
 
   const auto acts = [&](const char* slug) {
-    return reg.counter(std::string("level.") + slug + ".activations");
+    return level_entry(session, slug).counter("process_activations");
   };
   // C++ < channel < behavioural; behavioural and RTL both activate once
   // per clock edge, so their activation counts coincide — the wall-clock
@@ -48,36 +60,53 @@ TEST(RefinementFlowTest, ActivationCountsMatchFig8Ordering) {
   EXPECT_LT(acts("channel"), acts("rtl_opt"));
 
   const auto ctx = [&](const char* slug) {
-    return reg.counter(std::string("level.") + slug + ".context_switches");
+    return level_entry(session, slug).counter("context_switches");
   };
   EXPECT_GT(ctx("beh_opt"), 10 * ctx("rtl_opt"))
       << "thread-based behavioural level must pay far more context switches "
          "than the method-based RTL level";
 
   const auto deltas = [&](const char* slug) {
-    return reg.counter(std::string("level.") + slug + ".delta_cycles");
+    return level_entry(session, slug).counter("delta_cycles");
   };
   EXPECT_EQ(deltas("cpp"), 0u);
   EXPECT_LT(deltas("channel"), deltas("rtl_opt"));
 
-  // Per-level keys the --json consumers rely on all exist.
-  for (const char* slug : {"channel", "beh_opt", "rtl_opt"}) {
-    for (const char* field : {"activations", "context_switches", "delta_cycles",
-                              "method_invocations", "signal_updates"}) {
-      EXPECT_TRUE(
-          reg.has_counter(std::string("level.") + slug + "." + field))
-          << slug << "." << field;
+  // Every level entry's eight kernel counters are its RunResult's stats,
+  // and its per-process activations sum to the level total.
+  const char* const slugs[] = {"cpp", "channel", "beh_unopt", "beh_opt", "rtl_unopt",
+                               "rtl_opt"};
+  ASSERT_EQ(rep.level_results.size(), std::size(slugs));
+  for (std::size_t i = 0; i < std::size(slugs); ++i) {
+    const model::RunResult& r = rep.level_results[i].second;
+    const obs::LedgerEntry& e = level_entry(session, slugs[i]);
+    EXPECT_EQ(e.counter("outputs"), r.outputs.size()) << slugs[i];
+    EXPECT_EQ(e.counter("simulated_cycles"), r.simulated_cycles) << slugs[i];
+    EXPECT_EQ(e.counter("delta_cycles"), r.stats.delta_cycles) << slugs[i];
+    EXPECT_EQ(e.counter("timed_steps"), r.stats.timed_steps) << slugs[i];
+    EXPECT_EQ(e.counter("process_activations"), r.stats.process_activations) << slugs[i];
+    EXPECT_EQ(e.counter("context_switches"), r.stats.context_switches) << slugs[i];
+    EXPECT_EQ(e.counter("method_invocations"), r.stats.method_invocations) << slugs[i];
+    EXPECT_EQ(e.counter("signal_updates"), r.stats.signal_updates) << slugs[i];
+    EXPECT_EQ(e.counter("events_notified"), r.stats.events_notified) << slugs[i];
+    EXPECT_EQ(e.counter("events_fired"), r.stats.events_fired) << slugs[i];
+    EXPECT_EQ(e.counter("samples"), 200u) << slugs[i];
+    EXPECT_GT(e.counter("events"), 0u) << slugs[i];
+    std::uint64_t per_process = 0;
+    for (const auto& [proc, n] : r.process_activations) {
+      EXPECT_EQ(e.counter("activations." + proc), n) << slugs[i] << " " << proc;
+      per_process += n;
     }
+    EXPECT_EQ(per_process, r.stats.process_activations) << slugs[i];
   }
-  // Per-process attribution made it into the registry.
-  EXPECT_GT(reg.counter("process.channel.producer.drive.activations"), 0u);
-  const std::string report = reg.report_json();
-  EXPECT_NE(report.find("process.rtl_opt."), std::string::npos);
+  // Per-process attribution made it into the ledger.
+  EXPECT_GT(level_entry(session, "channel").counter("activations.producer.drive"), 0u);
 }
 
 // The session trace must be structurally valid Chrome trace-event JSON
-// (loadable in chrome://tracing / Perfetto) with one slice per flow step.
-TEST(RefinementFlowTest, SessionEmitsValidTraceAndReport) {
+// (loadable in chrome://tracing / Perfetto) with one slice per flow step,
+// and the ledger must hold one entry per level run and per revalidation.
+TEST(RefinementFlowTest, SessionEmitsValidTraceAndLedger) {
   obs::Session session;
   const auto rep = run_refinement_flow(dsp::SrcMode::k44_1To48, 120, &session);
   EXPECT_TRUE(rep.all_steps_verified());
@@ -88,16 +117,29 @@ TEST(RefinementFlowTest, SessionEmitsValidTraceAndReport) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   // 7 level runs + 6 verification steps, each a complete slice; plus the
   // per-level activation counter samples.
-  EXPECT_GE(session.trace.event_count(), 13u);
-  EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+  std::size_t slices = 0;
+  for (std::size_t at = trace.find("\"ph\":\"X\""); at != std::string::npos;
+       at = trace.find("\"ph\":\"X\"", at + 1))
+    ++slices;
+  EXPECT_GE(slices, 13u);
+  EXPECT_NE(trace.find("\"level:rtl_opt\""), std::string::npos);
 
-  const std::string report = session.registry.report_json();
-  ASSERT_TRUE(obs::json_validate(report, &err)) << err;
-  EXPECT_NE(report.find("scflow-obs-2"), std::string::npos);
-  ASSERT_NE(session.registry.timer("level:rtl_opt"), nullptr);
-  EXPECT_EQ(session.registry.timer("level:rtl_opt")->count, 1u);
-  EXPECT_EQ(session.registry.counter("verify.steps"), 6u);
-  EXPECT_GT(session.registry.counter("verify.outputs_compared"), 0u);
+  std::size_t levels = 0, verifies = 0;
+  std::uint64_t compared = 0;
+  for (const obs::LedgerEntry& e : session.ledger.entries()) {
+    if (e.phase == "flow.level") ++levels;
+    if (e.phase == "flow.verify") {
+      ++verifies;
+      compared += e.counter("outputs_compared");
+    }
+  }
+  EXPECT_EQ(levels, 7u);
+  EXPECT_EQ(verifies, 6u);
+  EXPECT_GT(compared, 0u);
+  const std::string jsonl = session.ledger.to_jsonl();
+  obs::LoadedLedger back;
+  ASSERT_TRUE(obs::parse_ledger(jsonl, &back, &err)) << err;
+  EXPECT_EQ(back.entries.size(), 13u);
 }
 
 TEST(SynthesisFlowTest, AllDesignsSynthesise) {
@@ -140,33 +182,56 @@ TEST(SynthesisFlowTest, Figure10ShapeHolds) {
   (void)ref;
 }
 
-// The formal gates of the ISSUE's acceptance criteria: gate optimisation
-// and scan insertion on the optimised SystemC implementations are proven
-// equivalence-preserving by CEC, with stats landing under
-// "fig10.<design>.cec.*".
+// The cec ledger entry a check appended under @p design, or nullptr.
+const obs::LedgerEntry* cec_entry(const obs::Session& session, const std::string& design) {
+  for (const obs::LedgerEntry& e : session.ledger.entries())
+    if (e.phase == "cec" && e.design == design) return &e;
+  return nullptr;
+}
+
+// The formal gates of the flow: gate optimisation and scan insertion on
+// the optimised SystemC implementations are proven equivalence-preserving
+// by CEC, each check landing as a "fig10.<design>.cec.*" ledger entry.
 TEST(SynthesisFlowTest, FormalCecGatesProveRtlOptRefinements) {
-  obs::Registry reg;
+  obs::Session session;
   SynthesisOptions opts;
   opts.verify_cec = true;
   const rtl::Design d = rtl::build_src_design(rtl::rtl_opt_config());
-  const nl::Netlist gates = synthesize_to_gates(d, nullptr, &reg, "fig10.rtl_opt", opts);
+  const nl::Netlist gates =
+      synthesize_to_gates(d, nullptr, &session, "fig10.rtl_opt", opts);
   EXPECT_GT(gates.cells().size(), 0u);
-  EXPECT_EQ(reg.gauge("fig10.rtl_opt.cec.opt.equivalent"), 1.0);
-  EXPECT_EQ(reg.gauge("fig10.rtl_opt.cec.scan.equivalent"), 1.0);
-  EXPECT_GT(reg.counter("fig10.rtl_opt.cec.opt.compare_bits"), 0u);
-  EXPECT_GT(reg.counter("fig10.rtl_opt.cec.scan.compare_bits"), 0u);
-  ASSERT_NE(reg.timer("fig10.rtl_opt.cec.opt"), nullptr);
-  ASSERT_NE(reg.timer("fig10.rtl_opt.cec.scan"), nullptr);
+  for (const char* check : {"fig10.rtl_opt.cec.opt", "fig10.rtl_opt.cec.scan"}) {
+    const obs::LedgerEntry* e = cec_entry(session, check);
+    ASSERT_NE(e, nullptr) << check;
+    EXPECT_EQ(e->counter("equivalent"), 1u) << check;
+    EXPECT_EQ(e->counter("counterexamples"), 0u) << check;
+    EXPECT_GT(e->counter("compare_bits"), 0u) << check;
+    EXPECT_NE(session.trace.to_json().find(std::string("\"") + check + "\""),
+              std::string::npos)
+        << check << " has no trace slice";
+  }
+  // The synth entry carries every pass's wall time next to its counters.
+  const obs::LedgerEntry& synth = session.ledger.entries().front();
+  EXPECT_EQ(synth.phase, "synth");
+  EXPECT_EQ(synth.design, "fig10.rtl_opt");
+  EXPECT_EQ(synth.counter("cells"), gates.cells().size());
+  for (const char* pass : {"word_passes_ns", "lower_ns", "gate_opt_ns", "scan_insertion_ns"})
+    EXPECT_TRUE(std::any_of(synth.counters.begin(), synth.counters.end(),
+                            [&](const auto& c) { return c.first == pass; }))
+        << pass;
 }
 
 TEST(SynthesisFlowTest, FormalCecGatesProveBehOptRefinements) {
-  obs::Registry reg;
+  obs::Session session;
   SynthesisOptions opts;
   opts.verify_cec = true;
   const rtl::Design d = hls::build_beh_src_design(hls::beh_opt_config(), nullptr);
-  (void)synthesize_to_gates(d, nullptr, &reg, "fig10.beh_opt", opts);
-  EXPECT_EQ(reg.gauge("fig10.beh_opt.cec.opt.equivalent"), 1.0);
-  EXPECT_EQ(reg.gauge("fig10.beh_opt.cec.scan.equivalent"), 1.0);
+  (void)synthesize_to_gates(d, nullptr, &session, "fig10.beh_opt", opts);
+  for (const char* check : {"fig10.beh_opt.cec.opt", "fig10.beh_opt.cec.scan"}) {
+    const obs::LedgerEntry* e = cec_entry(session, check);
+    ASSERT_NE(e, nullptr) << check;
+    EXPECT_EQ(e->counter("equivalent"), 1u) << check;
+  }
 }
 
 TEST(SynthesisFlowTest, TableFormats) {

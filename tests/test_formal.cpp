@@ -15,7 +15,7 @@
 #include "formal/sat.hpp"
 #include "netlist/lower.hpp"
 #include "netlist/opt.hpp"
-#include "obs/registry.hpp"
+#include "obs/session.hpp"
 #include "rtl/builder.hpp"
 #include "rtl/passes.hpp"
 
@@ -211,15 +211,21 @@ TEST(CecTest, OptimisedNetlistEquivalentToUnoptimised) {
   const rtl::Design d = small_design();
   const nl::Netlist gates = nl::lower_to_gates(d, {});
   const nl::Netlist opt = nl::optimize_gates(gates);
-  obs::Registry reg;
+  obs::Session session;
   CecOptions o;
   o.metric_prefix = "t.cec";
-  const CecResult res = check_equivalence(gates, opt, &reg, o);
+  const CecResult res = check_equivalence(gates, opt, &session, o);
   EXPECT_EQ(res.status, CecStatus::kEquivalent);
   EXPECT_GT(res.stats.compare_bits, 0u);
-  EXPECT_EQ(reg.gauge("t.cec.equivalent"), 1.0);
-  EXPECT_EQ(reg.counter("t.cec.counterexamples"), 0u);
-  EXPECT_NE(reg.timer("t.cec"), nullptr);
+  ASSERT_EQ(session.ledger.size(), 1u);
+  const obs::LedgerEntry& e = session.ledger.entries()[0];
+  EXPECT_EQ(e.phase, "cec");
+  EXPECT_EQ(e.design, "t.cec");
+  EXPECT_EQ(e.counter("equivalent"), 1u);
+  EXPECT_EQ(e.counter("counterexamples"), 0u);
+  EXPECT_EQ(e.counter("compare_bits"), res.stats.compare_bits);
+  EXPECT_EQ(e.counter("sat_calls"), res.stats.sat_calls);
+  EXPECT_EQ(session.trace.event_count(), 1u);  // the check's trace slice
 }
 
 TEST(CecTest, RtlVsLoweredNetlistIsStructurallyFree) {

@@ -8,6 +8,7 @@
 // the same assertions into a race hunt.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -97,15 +98,21 @@ TEST(BatchRunner, ShardedBatchMatchesSequentialJobs) {
       ASSERT_EQ(batch[j].outputs[i], ref.outputs[i]) << "job " << j << " output " << i;
     expect_same_counters(batch[j].counters, ref.counters, "job " + std::to_string(j));
   }
-  // The session captured the batch shape: one slice per job, lane + job
-  // counters summing to the batch size.
+  // The session captured the batch shape: one span (and trace slice) per
+  // job, each on one of the four lanes; the per-lane shares live in the
+  // span tids, not in the ledger.
   EXPECT_EQ(session.trace.event_count(), schedules.size());
-  EXPECT_EQ(session.registry.counter("gate_batch.jobs"), schedules.size());
-  EXPECT_EQ(session.registry.counter("gate_batch.lanes"), 4u);
-  std::uint64_t lane_jobs = 0;
-  for (unsigned l = 0; l < 4; ++l)
-    lane_jobs += session.registry.counter("gate_batch.lane" + std::to_string(l) + ".jobs");
-  EXPECT_EQ(lane_jobs, schedules.size());
+  ASSERT_EQ(session.spans.size(), schedules.size());
+  std::vector<std::size_t> lane_jobs(4, 0);
+  for (const obs::Span& s : session.spans.spans()) {
+    ASSERT_GE(s.tid, 0);
+    ASSERT_LT(s.tid, 4);
+    ++lane_jobs[static_cast<std::size_t>(s.tid)];
+    EXPECT_EQ(s.name.rfind("gate_batch.job", 0), 0u) << s.name;
+  }
+  EXPECT_EQ(std::accumulate(lane_jobs.begin(), lane_jobs.end(), std::size_t{0}),
+            schedules.size());
+  EXPECT_EQ(session.ledger.size(), 0u);
 }
 
 TEST(BatchRunner, JobContextDeadlineExpiresAndMarksTimedOut) {

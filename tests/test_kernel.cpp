@@ -12,7 +12,6 @@
 #include "kernel/signal.hpp"
 #include "kernel/simulation.hpp"
 #include "kernel/time.hpp"
-#include "obs/registry.hpp"
 
 namespace minisc {
 namespace {
@@ -544,52 +543,6 @@ TEST(InstrumentationCounters, TwoProcessDesignHasKnownCounts) {
   EXPECT_TRUE(saw_driver);
   EXPECT_TRUE(saw_observer);
   EXPECT_EQ(sum, st.process_activations);
-}
-
-TEST(InstrumentationCounters, DisabledInstrumentationKeepsBehaviour) {
-  auto run_one = [](bool instrumented, SimulationStats& stats_out) {
-    Simulation sim;
-    sim.set_instrumentation(instrumented);
-    Signal<int> s(sim, nullptr, "s", 0);
-    int observations = 0;
-    TwoProcess top(sim, s, observations);
-    sim.run();
-    stats_out = sim.stats();
-    return observations;
-  };
-  SimulationStats on{}, off{};
-  const int obs_on = run_one(true, on);
-  const int obs_off = run_one(false, off);
-  // Identical functional behaviour...
-  EXPECT_EQ(obs_on, obs_off);
-  EXPECT_GT(on.process_activations, 0u);
-  // ...but with instrumentation off every counter stays zero.
-  EXPECT_EQ(off.process_activations, 0u);
-  EXPECT_EQ(off.context_switches, 0u);
-  EXPECT_EQ(off.method_invocations, 0u);
-  EXPECT_EQ(off.delta_cycles, 0u);
-  EXPECT_EQ(off.signal_updates, 0u);
-  EXPECT_EQ(off.events_notified, 0u);
-  EXPECT_EQ(off.events_fired, 0u);
-}
-
-TEST(InstrumentationCounters, RecordStatsMapsEveryField) {
-  Simulation sim;
-  Signal<int> s(sim, nullptr, "s", 0);
-  int observations = 0;
-  TwoProcess top(sim, s, observations);
-  sim.run();
-
-  scflow::obs::Registry reg;
-  record_stats(reg, "k", sim.stats());
-  EXPECT_EQ(reg.counter("k.activations"), sim.stats().process_activations);
-  EXPECT_EQ(reg.counter("k.context_switches"), sim.stats().context_switches);
-  EXPECT_EQ(reg.counter("k.method_invocations"), sim.stats().method_invocations);
-  EXPECT_EQ(reg.counter("k.delta_cycles"), sim.stats().delta_cycles);
-  EXPECT_EQ(reg.counter("k.timed_steps"), sim.stats().timed_steps);
-  EXPECT_EQ(reg.counter("k.signal_updates"), sim.stats().signal_updates);
-  EXPECT_EQ(reg.counter("k.events_notified"), sim.stats().events_notified);
-  EXPECT_EQ(reg.counter("k.events_fired"), sim.stats().events_fired);
 }
 
 TEST(Scheduler, DeltaLimitCatchesOscillation) {

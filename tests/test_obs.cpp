@@ -1,6 +1,6 @@
-// Tests for the observability layer: metric registry (counters, gauges,
-// nested scoped timers), JSON escaping + the structural validator, the
-// Chrome trace-event writer, and the Probe increment semantics.
+// Tests for the observability layer: JSON escaping, the structural
+// validator and the parser's escape / UTF-8 paths, the Chrome trace-event
+// writer, and the Session that ties trace and run ledger together.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,8 +8,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
-#include "obs/probe.hpp"
-#include "obs/registry.hpp"
+#include "obs/ledger.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 
@@ -58,111 +57,37 @@ TEST(JsonValidate, RejectsMalformedDocuments) {
   EXPECT_FALSE(err.empty());
 }
 
-// --- Probe ---------------------------------------------------------------
+// --- parser: escapes and UTF-8 --------------------------------------------
 
-TEST(ProbeTest, CountsWhenEnabledOnly) {
-  Probe p;
-  std::uint64_t c = 0;
-  p.hit(c);
-  p.add(c, 10);
-  EXPECT_EQ(c, 11u);
-  p.set_enabled(false);
-  p.hit(c);
-  p.add(c, 100);
-  EXPECT_EQ(c, 11u);
-  p.set_enabled(true);
-  p.hit(c);
-  EXPECT_EQ(c, 12u);
-}
-
-// --- Registry counters / gauges ------------------------------------------
-
-TEST(RegistryTest, CountersAccumulate) {
-  Registry r;
-  EXPECT_FALSE(r.has_counter("a"));
-  EXPECT_EQ(r.counter("a"), 0u);
-  r.count("a");
-  r.count("a", 4);
-  EXPECT_EQ(r.counter("a"), 5u);
-  r.set_counter("a", 2);
-  EXPECT_EQ(r.counter("a"), 2u);
-  EXPECT_TRUE(r.has_counter("a"));
-}
-
-TEST(RegistryTest, GaugesKeepLatestValue) {
-  Registry r;
-  r.set_gauge("g", 1.5);
-  r.set_gauge("g", -2.25);
-  EXPECT_DOUBLE_EQ(r.gauge("g"), -2.25);
-  EXPECT_DOUBLE_EQ(r.gauge("missing"), 0.0);
-}
-
-// --- Registry scoped timers ----------------------------------------------
-
-TEST(RegistryTest, NestedScopesRecordHierarchicalPaths) {
-  Registry r;
-  {
-    auto outer = r.time_scope("outer");
-    {
-      auto inner = r.time_scope("inner");
-    }
-    {
-      auto inner = r.time_scope("inner");
-    }
-  }
-  ASSERT_NE(r.timer("outer"), nullptr);
-  ASSERT_NE(r.timer("outer/inner"), nullptr);
-  EXPECT_EQ(r.timer("outer")->count, 1u);
-  EXPECT_EQ(r.timer("outer/inner")->count, 2u);
-  EXPECT_EQ(r.timer("inner"), nullptr);  // never recorded as a root scope
-  // The outer scope contains both inner scopes, so it cannot be shorter.
-  EXPECT_GE(r.timer("outer")->total_ns, r.timer("outer/inner")->total_ns);
-}
-
-TEST(RegistryTest, SequentialScopesAccumulate) {
-  Registry r;
-  for (int i = 0; i < 3; ++i) auto t = r.time_scope("step");
-  ASSERT_NE(r.timer("step"), nullptr);
-  EXPECT_EQ(r.timer("step")->count, 3u);
-}
-
-// --- merge ---------------------------------------------------------------
-
-TEST(RegistryTest, MergePrefixesAndAggregates) {
-  Registry a, b;
-  a.count("hits", 2);
-  a.set_gauge("temp", 1.0);
-  b.count("hits", 3);
-  b.set_gauge("temp", 9.0);
-  { auto t = b.time_scope("run"); }
-
-  a.merge_from(b, "sub");
-  EXPECT_EQ(a.counter("hits"), 2u);       // untouched
-  EXPECT_EQ(a.counter("sub.hits"), 3u);   // prefixed
-  EXPECT_DOUBLE_EQ(a.gauge("sub.temp"), 9.0);
-  ASSERT_NE(a.timer("sub.run"), nullptr);
-  EXPECT_EQ(a.timer("sub.run")->count, 1u);
-
-  // Merging again: counters add, gauges overwrite, timer counts accumulate.
-  a.merge_from(b, "sub");
-  EXPECT_EQ(a.counter("sub.hits"), 6u);
-  EXPECT_EQ(a.timer("sub.run")->count, 2u);
-}
-
-// --- report --------------------------------------------------------------
-
-TEST(RegistryTest, ReportJsonIsValidAndCarriesSchema) {
-  Registry r;
-  r.count("k.v", 7);
-  r.set_gauge("g\"quoted\"", 0.5);
-  { auto t = r.time_scope("phase"); }
-  const std::string json = r.report_json();
+// json_parse(json_escape(s)) must give back s byte for byte — the ledger's
+// string fields (designs, phases, tool names) ride on this round trip.
+std::string parse_string_literal(const std::string& escaped) {
+  JsonValue v;
   std::string err;
-  EXPECT_TRUE(json_validate(json, &err)) << err << "\n" << json;
-  EXPECT_NE(json.find("\"schema\":\"scflow-obs-2\""), std::string::npos);
-  EXPECT_NE(json.find("\"k.v\":7"), std::string::npos);
-  EXPECT_NE(json.find("g\\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(json.find("\"phase\""), std::string::npos);
+  EXPECT_TRUE(json_parse("\"" + escaped + "\"", &v, &err)) << err << ": " << escaped;
+  EXPECT_EQ(v.kind, JsonValue::Kind::kString);
+  return v.string;
+}
+
+TEST(JsonParse, EscapeRoundTripsControlBytesQuotesAndUtf8) {
+  for (int c = 0x00; c <= 0x1f; ++c) {
+    const std::string s = "a" + std::string(1, static_cast<char>(c)) + "b";
+    EXPECT_EQ(parse_string_literal(json_escape(s)), s) << "byte " << c;
+  }
+  for (const std::string s : {"\"", "\\", "q\"u\\o\"te"})
+    EXPECT_EQ(parse_string_literal(json_escape(s)), s);
+  // 2-, 3- and 4-byte UTF-8 sequences: é, €, 😀.
+  for (const std::string s : {"caf\xc3\xa9", "\xe2\x82\xac 5", "\xf0\x9f\x98\x80!",
+                              "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80"})
+    EXPECT_EQ(parse_string_literal(json_escape(s)), s);
+}
+
+TEST(JsonParse, DecodesUnicodeEscapesToUtf8) {
+  EXPECT_EQ(parse_string_literal("\\u00e9"), "\xc3\xa9");
+  EXPECT_EQ(parse_string_literal("\\u20ac"), "\xe2\x82\xac");
+  EXPECT_EQ(parse_string_literal("\\ud83d\\ude00"), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(parse_string_literal("x\\u0041\\u00e9\\ud83d\\ude00y"),
+            "xA\xc3\xa9\xf0\x9f\x98\x80y");
 }
 
 // --- trace writer --------------------------------------------------------
@@ -207,36 +132,34 @@ TEST(TraceWriterTest, ClockIsMonotoneFromEpoch) {
   EXPECT_GE(b, a);
 }
 
-// --- registry + trace integration ----------------------------------------
-
-TEST(SessionTest, ScopeCloseEmitsTraceSlice) {
-  Session s;
-  { auto t = s.registry.time_scope("outer"); auto u = s.registry.time_scope("in"); }
-  EXPECT_EQ(s.trace.event_count(), 2u);  // one slice per closed scope
-  std::string err;
-  const std::string json = s.trace.to_json();
-  EXPECT_TRUE(json_validate(json, &err)) << err;
-  // Slices carry the leaf scope name; the hierarchy lives in the registry.
-  EXPECT_NE(json.find("\"name\":\"in\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
-  ASSERT_NE(s.registry.timer("outer/in"), nullptr);
-}
+// --- session --------------------------------------------------------------
 
 TEST(SessionTest, DumpWritesBothArtifacts) {
   Session s;
-  s.registry.count("n", 1);
-  { auto t = s.registry.time_scope("w"); }
-  const std::string rp = ::testing::TempDir() + "obs_report.json";
+  LedgerEntry e;
+  e.phase = "test";
+  e.design = "w";
+  e.duration_ns = s.end_slice("w", s.trace.now_ns());
+  e.add_counter("n", 1);
+  s.ledger.append(std::move(e));
+  EXPECT_EQ(s.trace.event_count(), 1u);  // end_slice emitted one slice
+
   const std::string tp = ::testing::TempDir() + "obs_trace.json";
-  ASSERT_TRUE(s.dump(rp, tp));
-  for (const auto& path : {rp, tp}) {
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string err;
-    EXPECT_TRUE(json_validate(buf.str(), &err)) << path << ": " << err;
-    std::remove(path.c_str());
-  }
+  const std::string lp = ::testing::TempDir() + "obs_ledger.jsonl";
+  std::remove(lp.c_str());
+  ASSERT_TRUE(s.dump(tp, lp));
+  std::ifstream in(tp);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  std::string err;
+  EXPECT_TRUE(json_validate(buf.str(), &err)) << tp << ": " << err;
+  EXPECT_NE(buf.str().find("\"name\":\"w\""), std::string::npos);
+  LoadedLedger back;
+  ASSERT_TRUE(load_ledger(lp, &back, &err)) << lp << ": " << err;
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].counter("n"), 1u);
+  std::remove(tp.c_str());
+  std::remove(lp.c_str());
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 //    cycle count must be bit-identical;
 //  * the fallback regime: x_initial_flops programs fall back whole, while
 //    RAM macro bus faults stay bit-parallel (on a hand-built RAM design
-//    and on random RAM designs), with the ppsfp_* accounting visible in
-//    the registry;
+//    and on random RAM designs), with the ppsfp_* accounting on the
+//    CampaignResult;
 //  * run-ledger invariance: the strip-timing ledger projection of a
 //    campaign must not depend on the engine, so cross-engine scflow_report
 //    diffs stay clean for every non-timing metric.
@@ -32,7 +32,6 @@
 #include "netlist/netlist.hpp"
 #include "netlist/opt.hpp"
 #include "netlist_fuzz.hpp"
-#include "obs/registry.hpp"
 #include "obs/session.hpp"
 #include "rtl/builder.hpp"
 
@@ -240,37 +239,28 @@ TEST(Ppsfp, RamMacroBusFaultsRunBitParallelAndMatch) {
   EXPECT_EQ(diff_campaign_engines(n, opt, {1, 2, 4, 8}), "");
 
   opt.engine = Engine::kPpsfp;
-  obs::Session session;
-  opt.metric_prefix = "fault.ppsfp_ram";
-  const CampaignResult r = run_campaign(n, opt, &session);
+  const CampaignResult r = run_campaign(n, opt);
   // The write/read bus faults ride the 64-lane batches with the rest of
   // the design: nothing falls back, every detection is a drop.
   EXPECT_EQ(r.ppsfp_fallback, 0u);
   EXPECT_GT(r.detected, 0u);
   EXPECT_EQ(r.ppsfp_dropped, r.detected);
-  EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_fallback_faults"),
-            r.ppsfp_fallback);
-  EXPECT_EQ(session.registry.counter("fault.ppsfp_ram.ppsfp_dropped"),
-            r.ppsfp_dropped);
 }
 
 TEST(Ppsfp, DroppedAccountingOnScanDesign) {
   const nl::Netlist n = scan_accumulator();
   CampaignOptions opt;
   opt.engine = Engine::kPpsfp;
-  obs::Session session;
-  opt.metric_prefix = "fault.ppsfp_acc";
-  const CampaignResult r = run_campaign(n, opt, &session);
-  // X-free scan design: nothing falls back, every detection is a drop.
+  const CampaignResult r = run_campaign(n, opt);
+  // X-free scan design: nothing falls back, every detection is a drop,
+  // and each dropped fault names the observe cycle that killed it.
   EXPECT_EQ(r.ppsfp_fallback, 0u);
   EXPECT_GT(r.detected, 0u);
   EXPECT_EQ(r.ppsfp_dropped, r.detected);
-  // The drop histogram is the fault-dropping evidence: one sample per
-  // dropped fault, bucketed by the pattern index that killed it.
-  const obs::Histogram* h =
-      session.registry.histogram("fault.ppsfp_acc.ppsfp_dropped_at");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), r.ppsfp_dropped);
+  for (const FaultResult& fr : r.faults) {
+    if (fr.klass != FaultClass::kDetected) continue;
+    EXPECT_LT(fr.detect_cycle, r.stimulus_cycles);
+  }
 }
 
 TEST(Ppsfp, CycleBudgetParityIsDeterministic) {

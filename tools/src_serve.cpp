@@ -8,9 +8,9 @@
 // soak in tests/test_serve.cpp, the seeded chaos soak and the snapshot
 // round-trip in tests/test_resilience.cpp.
 //
-// `--ledger FILE` / `--report FILE` dump the service's obs artifacts
-// (serve.ratio / serve.resilience / serve.run ledger entries, serve.*
-// counters) — `scflow_report show FILE` renders them as a dashboard.
+// `--ledger FILE` writes the service's run ledger (serve.ratio /
+// serve.resilience / serve.run entries) — `scflow_report show FILE`
+// renders it as a dashboard.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::size_t step_cap = 0;
   std::string ledger_path;
-  std::string report_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
       n_sessions = std::strtoul(argv[++i], nullptr, 10);
@@ -149,21 +148,18 @@ int main(int argc, char** argv) {
       step_cap = std::strtoul(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--ledger") == 0 && i + 1 < argc) {
       ledger_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
-      report_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sessions N] [--samples N] [--threads N] "
-                   "[--seed S] [--step-cap N] [--ledger FILE] [--report FILE]\n",
+                   "[--seed S] [--step-cap N] [--ledger FILE]\n",
                    argv[0]);
       return 2;
     }
   }
 
   scflow::obs::Session obs;
-  const bool telemetry = !ledger_path.empty() || !report_path.empty();
   const WorkloadResult r = run_workload(n_sessions, n_samples, threads, seed, step_cap,
-                                        telemetry ? &obs : nullptr);
+                                        ledger_path.empty() ? nullptr : &obs);
   const double wall_s = static_cast<double>(r.wall_ns) / 1e9;
   std::printf("sessions:            %zu (over %zu ratios)\n", r.sessions,
               std::min(n_sessions, kRatioCount));
@@ -179,14 +175,13 @@ int main(int argc, char** argv) {
   std::printf("starve streak max:   %u\n", r.starve_streak_max);
   std::printf("zero-loss contract:  %s\n", r.drained_clean ? "ok" : "VIOLATED");
 
-  if (telemetry) {
+  if (!ledger_path.empty()) {
     obs.ledger.meta = scflow::obs::collect_run_metadata(argv[0]);
-    if (!obs.dump(report_path, "", ledger_path)) {
-      std::fprintf(stderr, "error: cannot write telemetry artifacts\n");
+    if (!obs.ledger.write(ledger_path)) {
+      std::fprintf(stderr, "error: cannot write %s\n", ledger_path.c_str());
       return 1;
     }
-    if (!report_path.empty()) std::printf("metrics report: %s\n", report_path.c_str());
-    if (!ledger_path.empty()) std::printf("run ledger: %s\n", ledger_path.c_str());
+    std::printf("run ledger: %s\n", ledger_path.c_str());
   }
   return r.drained_clean ? 0 : 1;
 }
